@@ -12,6 +12,10 @@ Design constraints honoured here:
   the differentiation logic lives entirely in this module);
 * gradients accumulate additively, so a tensor consumed by several ops (or
   several ``backward`` calls on one tape) sums its contributions;
+* each step keeps only what its gradient rule reads, and forms a backward
+  product only for operands that need a gradient;
+* ``matmul`` takes an optional bias, so a dense layer is one step, and
+  ``swish`` keeps its sigmoid for backward instead of recomputing it;
 * ``segment_sum`` adds rows per segment in a canonical order (sorted by raw
   row bytes within each segment), so permuting its input rows returns a
   bit-identical result;
@@ -36,7 +40,6 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
-    "add_bias",
     "concat",
     "gather",
     "segment_sum",
@@ -83,15 +86,13 @@ class Tensor:
 
 
 class TapeOp:
-    """One recorded step: inputs, output, a forward replay and a grad rule."""
+    """One recorded step: its output and the rule that backpropagates it."""
 
-    __slots__ = ("name", "inputs", "output", "forward_fn", "backward_fn")
+    __slots__ = ("name", "output", "backward_fn")
 
-    def __init__(self, name, inputs, output, forward_fn, backward_fn):
+    def __init__(self, name, output, backward_fn):
         self.name = name
-        self.inputs = inputs
         self.output = output
-        self.forward_fn = forward_fn
         self.backward_fn = backward_fn
 
 
@@ -124,21 +125,11 @@ class Tape:
     def __len__(self):
         return len(self.ops)
 
-    def replay(self):
-        """Re-execute every recorded forward step in order.
 
-        Inputs are read from the tensors' current ``data``, outputs are
-        written back in place; with unchanged leaves the results are
-        bit-identical to the original pass.
-        """
-        for op in self.ops:
-            op.forward_fn()
-
-
-def _record(name, inputs, output, forward_fn, backward_fn):
+def _record(name, output, backward_fn):
     tape = _current_tape()
     if tape is not None and output.requires_grad:
-        tape.ops.append(TapeOp(name, tuple(inputs), output, forward_fn, backward_fn))
+        tape.ops.append(TapeOp(name, output, backward_fn))
     return output
 
 
@@ -185,15 +176,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("add", a, b)
     out = Tensor(a.data + b.data, _require_grad(a, b))
 
-    def forward_fn():
-        np.add(a.data, b.data, out=out.data)
-
     def backward_fn():
         g = out.grad
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return _record("add", (a, b), out, forward_fn, backward_fn)
+    return _record("add", out, backward_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -201,15 +189,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("sub", a, b)
     out = Tensor(a.data - b.data, _require_grad(a, b))
 
-    def forward_fn():
-        np.subtract(a.data, b.data, out=out.data)
-
     def backward_fn():
         g = out.grad
         _accumulate(a, g)
-        _accumulate(b, -g)
+        if b.requires_grad:
+            _accumulate(b, -g)
 
-    return _record("sub", (a, b), out, forward_fn, backward_fn)
+    return _record("sub", out, backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -217,15 +203,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("mul", a, b)
     out = Tensor(a.data * b.data, _require_grad(a, b))
 
-    def forward_fn():
-        np.multiply(a.data, b.data, out=out.data)
-
     def backward_fn():
         g = out.grad
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
 
-    return _record("mul", (a, b), out, forward_fn, backward_fn)
+    return _record("mul", out, backward_fn)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -233,17 +218,18 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c, a.requires_grad)
 
-    def forward_fn():
-        np.multiply(a.data, c, out=out.data)
-
     def backward_fn():
         _accumulate(a, out.grad * c)
 
-    return _record("scale", (a,), out, forward_fn, backward_fn)
+    return _record("scale", out, backward_fn)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (m, k) tensor with a (k, n) tensor."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product of a (m, k) tensor with a (k, n) tensor.
+
+    An optional length-n ``bias`` is added to every row of the product, so
+    a dense layer records one step.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
             f"matmul needs 2-d operands, got {a.data.shape} and {b.data.shape}"
@@ -252,36 +238,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul: inner dimensions differ, {a.data.shape} x {b.data.shape}"
         )
-    out = Tensor(a.data @ b.data, _require_grad(a, b))
-
-    def forward_fn():
-        np.matmul(a.data, b.data, out=out.data)
-
-    def backward_fn():
-        g = out.grad
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _record("matmul", (a, b), out, forward_fn, backward_fn)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-n bias row to every row of an (m, n) tensor."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"add_bias: incompatible shapes {x.data.shape} and {b.data.shape}"
-        )
-    out = Tensor(x.data + b.data, _require_grad(x, b))
-
-    def forward_fn():
-        np.add(x.data, b.data, out=out.data)
+    operands = (a, b)
+    product = a.data @ b.data
+    if bias is not None:
+        if bias.data.shape != (b.data.shape[1],):
+            raise ShapeError(
+                f"matmul: bias of shape {bias.data.shape} for a product of "
+                f"shape {product.shape}"
+            )
+        product += bias.data
+        operands = (a, b, bias)
+    out = Tensor(product, _require_grad(*operands))
 
     def backward_fn():
         g = out.grad
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=0))
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0))
 
-    return _record("add_bias", (x, b), out, forward_fn, backward_fn)
+    return _record("matmul", out, backward_fn)
 
 
 def concat(tensors) -> Tensor:
@@ -302,15 +280,26 @@ def concat(tensors) -> Tensor:
     widths = [t.data.shape[-1] for t in tensors]
     offsets = np.cumsum([0] + widths)
 
-    def forward_fn():
-        np.concatenate([t.data for t in tensors], axis=-1, out=out.data)
-
     def backward_fn():
         g = out.grad
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             _accumulate(t, g[..., lo:hi])
 
-    return _record("concat", tensors, out, forward_fn, backward_fn)
+    return _record("concat", out, backward_fn)
+
+
+def _ordered_segment_sum(data, segments, order, num):
+    """Sum rows of ``data`` into ``num`` buckets by ``segments``.
+
+    ``order`` must sort ``segments`` ascending; each bucket adds its rows in
+    that order.  Empty buckets come out as zero rows.
+    """
+    out = np.zeros((num,) + data.shape[1:], dtype=np.float64)
+    if order.size:
+        keys = segments[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        out[keys[starts]] = np.add.reduceat(data[order], starts, axis=0)
+    return out
 
 
 def gather(x: Tensor, index) -> Tensor:
@@ -327,36 +316,23 @@ def gather(x: Tensor, index) -> Tensor:
         )
     out = Tensor(x.data[idx], x.requires_grad)
 
-    def forward_fn():
-        out.data[...] = x.data[idx]
-
     def backward_fn():
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            np.add.at(g, idx, out.grad)
-            _accumulate(x, g)
+        order = np.argsort(idx, kind="stable")
+        _accumulate(x, _ordered_segment_sum(out.grad, idx, order, x.data.shape[0]))
 
-    return _record("gather", (x,), out, forward_fn, backward_fn)
+    return _record("gather", out, backward_fn)
 
 
 def _segment_reduce(data: np.ndarray, segments: np.ndarray, num: int) -> np.ndarray:
-    out = np.zeros((num,) + data.shape[1:], dtype=np.float64)
     if data.shape[0] == 0:
-        return out
+        return np.zeros((num,) + data.shape[1:], dtype=np.float64)
     # Canonical within-segment order: sort rows by raw bytes so the sum is
     # bit-identical under any permutation of the input rows.
     rows = np.ascontiguousarray(data.reshape(data.shape[0], -1))
     keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
     order = order[np.argsort(segments[order], kind="stable")]
-    seg_sorted = segments[order]
-    data_sorted = data[order]
-    starts = np.flatnonzero(np.r_[True, seg_sorted[1:] != seg_sorted[:-1]])
-    bounds = np.r_[starts, seg_sorted.size]
-    for k in range(starts.size):
-        lo, hi = bounds[k], bounds[k + 1]
-        out[seg_sorted[lo]] = data_sorted[lo:hi].sum(axis=0)
-    return out
+    return _ordered_segment_sum(data, segments, order, num)
 
 
 def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
@@ -378,51 +354,42 @@ def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
         )
     out = Tensor(_segment_reduce(x.data, seg, num_segments), x.requires_grad)
 
-    def forward_fn():
-        out.data[...] = _segment_reduce(x.data, seg, num_segments)
-
     def backward_fn():
-        if x.requires_grad:
-            _accumulate(x, out.grad[seg])
+        _accumulate(x, out.grad[seg])
 
-    return _record("segment_sum", (x,), out, forward_fn, backward_fn)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return _record("segment_sum", out, backward_fn)
 
 
 def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x), the activation used throughout the model."""
-    s = _sigmoid(x.data)
+    """x * sigmoid(x), the activation used throughout the model.
+
+    The sigmoid is computed once as 1 / (1 + exp(-x)) and kept for
+    backward.  Below x of about -709, exp overflows to inf, which yields
+    the correct limit 0, so that overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
     out = Tensor(x.data * s, x.requires_grad)
 
-    def forward_fn():
-        out.data[...] = x.data * _sigmoid(x.data)
-
     def backward_fn():
-        sg = _sigmoid(x.data)
-        _accumulate(x, out.grad * sg * (1.0 + x.data * (1.0 - sg)))
+        # d/dx x s(x) = s + x s (1 - s) = s + out (1 - s)
+        d = 1.0 - s
+        d *= out.data
+        d += s
+        d *= out.grad
+        _accumulate(x, d)
 
-    return _record("swish", (x,), out, forward_fn, backward_fn)
+    return _record("swish", out, backward_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Reduce every element to one scalar by summation."""
     out = Tensor(x.data.sum(), x.requires_grad)
 
-    def forward_fn():
-        out.data[...] = x.data.sum()
-
     def backward_fn():
         _accumulate(x, np.broadcast_to(out.grad, x.data.shape))
 
-    return _record("sum_all", (x,), out, forward_fn, backward_fn)
+    return _record("sum_all", out, backward_fn)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -432,23 +399,17 @@ def mean_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean(), x.requires_grad)
     inv = 1.0 / x.data.size
 
-    def forward_fn():
-        out.data[...] = x.data.mean()
-
     def backward_fn():
         _accumulate(x, np.broadcast_to(out.grad * inv, x.data.shape))
 
-    return _record("mean_all", (x,), out, forward_fn, backward_fn)
+    return _record("mean_all", out, backward_fn)
 
 
 def abs_val(x: Tensor) -> Tensor:
     """Elementwise absolute value; subgradient 0 at exactly 0."""
     out = Tensor(np.abs(x.data), x.requires_grad)
 
-    def forward_fn():
-        np.abs(x.data, out=out.data)
-
     def backward_fn():
         _accumulate(x, out.grad * np.sign(x.data))
 
-    return _record("abs_val", (x,), out, forward_fn, backward_fn)
+    return _record("abs_val", out, backward_fn)

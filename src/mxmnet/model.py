@@ -31,7 +31,6 @@ from . import elements
 from .autodiff import (
     Tensor,
     add,
-    add_bias,
     concat,
     gather,
     matmul,
@@ -238,7 +237,7 @@ class MessageTally:
 
 
 def _linear(x, params, w_name, b_name):
-    return add_bias(matmul(x, params[w_name]), params[b_name])
+    return matmul(x, params[w_name], params[b_name])
 
 
 def _mlp2(x, params, prefix):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Tensor, abs_val, backward, mul, scale, sub
-from .data import Dataset, Molecule, subtract_atomrefs, target_stats
+from .data import Dataset, Molecule, subtract_atomrefs
 from .model import ModelConfig, ParamStore, forward, init_params, prepare_inputs
 
 __all__ = [
@@ -382,9 +382,3 @@ def train(
 
 def _scalar(x: float) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def target_sigma(ds: Dataset, prop: str) -> float | None:
-    """Population std of the training targets, None when degenerate."""
-    stats = target_stats(ds, prop)
-    return None if stats.degenerate else stats.std
