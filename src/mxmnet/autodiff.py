@@ -45,7 +45,6 @@ __all__ = [
     "segment_sum",
     "swish",
     "sum_all",
-    "mean_all",
     "abs_val",
 ]
 
@@ -390,19 +389,6 @@ def sum_all(x: Tensor) -> Tensor:
         _accumulate(x, np.broadcast_to(out.grad, x.data.shape))
 
     return _record("sum_all", out, backward_fn)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    """Scalar mean over every element."""
-    if x.data.size == 0:
-        raise ShapeError("mean_all of an empty tensor")
-    out = Tensor(x.data.mean(), x.requires_grad)
-    inv = 1.0 / x.data.size
-
-    def backward_fn():
-        _accumulate(x, np.broadcast_to(out.grad * inv, x.data.shape))
-
-    return _record("mean_all", out, backward_fn)
 
 
 def abs_val(x: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import Molecule
-from .graph import AngleTriples, MultiplexGraph, enumerate_angle_triples
+from .graph import MultiplexGraph, enumerate_angle_triples
 
 __all__ = [
     "N_RBF",
@@ -282,14 +282,10 @@ class GeometricFeatures:
     local_dst: np.ndarray
     global_src: np.ndarray
     global_dst: np.ndarray
-    d_local: np.ndarray
-    d_global: np.ndarray
     rbf_local: np.ndarray  # (E_l, 16)
     rbf_global: np.ndarray  # (E_g, 16)
     sbf_two: np.ndarray  # (T2, 42)
     sbf_one: np.ndarray  # (T1, 42)
-    angles_two: np.ndarray
-    angles_one: np.ndarray
     two_hop_edge: np.ndarray
     two_hop_target: np.ndarray
     one_hop_edge: np.ndarray
@@ -303,23 +299,15 @@ def _edge_lengths(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.linalg.norm(delta, axis=1)
 
 
-def featurize(
-    m: Molecule,
-    g: MultiplexGraph,
-    local_cutoff: float,
-    global_cutoff: float | None = None,
-    triples: AngleTriples | None = None,
-) -> GeometricFeatures:
+def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricFeatures:
     """Distances, angles and basis embeddings for one molecule's graph.
 
     The local layer's radial and spherical embeddings use ``local_cutoff``
-    as envelope scale, the global layer uses the graph's own cutoff (or
-    ``global_cutoff`` when given).  Purely geometric: depends on inter-atom
-    distances and angles only, never on absolute positions.
+    as envelope scale, the global layer uses the graph's own cutoff.  Purely
+    geometric: depends on inter-atom distances and angles only, never on
+    absolute positions.
     """
-    if triples is None:
-        triples = enumerate_angle_triples(g)
-    gc = float(global_cutoff) if global_cutoff is not None else g.global_cutoff
+    triples = enumerate_angle_triples(g)
     coords = m.coords
     d_local = _edge_lengths(coords, g.local_edges)
     d_global = _edge_lengths(coords, g.global_edges)
@@ -329,7 +317,7 @@ def featurize(
         else np.empty((0, N_RBF), dtype=np.float64)
     )
     rbf_global = (
-        radial_basis(d_global, gc)
+        radial_basis(d_global, g.global_cutoff)
         if d_global.size
         else np.empty((0, N_RBF), dtype=np.float64)
     )
@@ -340,14 +328,12 @@ def featurize(
         ang2 = angle_between(coords[t[:, 1]], coords[t[:, 0]], coords[t[:, 2]])
         sbf_two = spherical_basis(d_local[triples.two_hop_edge], ang2, local_cutoff)
     else:
-        ang2 = np.empty(0, dtype=np.float64)
         sbf_two = np.empty((0, n_sbf), dtype=np.float64)
     if triples.one_hop.shape[0]:
         t = triples.one_hop
         ang1 = angle_between(coords[t[:, 1]], coords[t[:, 0]], coords[t[:, 2]])
         sbf_one = spherical_basis(d_local[triples.one_hop_edge], ang1, local_cutoff)
     else:
-        ang1 = np.empty(0, dtype=np.float64)
         sbf_one = np.empty((0, n_sbf), dtype=np.float64)
 
     return GeometricFeatures(
@@ -356,14 +342,10 @@ def featurize(
         local_dst=g.local_edges[:, 1].copy(),
         global_src=g.global_edges[:, 0].copy(),
         global_dst=g.global_edges[:, 1].copy(),
-        d_local=d_local,
-        d_global=d_global,
         rbf_local=rbf_local,
         rbf_global=rbf_global,
         sbf_two=sbf_two,
         sbf_one=sbf_one,
-        angles_two=ang2,
-        angles_one=ang1,
         two_hop_edge=triples.two_hop_edge,
         two_hop_target=triples.two_hop_target,
         one_hop_edge=triples.one_hop_edge,

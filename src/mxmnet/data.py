@@ -16,7 +16,7 @@ for bit; floats are written with shortest round-trip precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,7 +225,6 @@ class Split:
 class Dataset:
     molecules: list[Molecule]
     split: Split | None = None
-    _stats_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.molecules)

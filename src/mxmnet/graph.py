@@ -115,13 +115,8 @@ def derive_bonds(m: Molecule) -> list[tuple[int, int]]:
     diff = m.coords[:, None, :] - m.coords[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     limit = radii[:, None] + radii[None, :] + BOND_SLACK
-    pairs = []
-    n = m.n_atoms
-    for a in range(n):
-        for b in range(a + 1, n):
-            if dist[a, b] < limit[a, b]:
-                pairs.append((a, b))
-    return pairs
+    a, b = np.nonzero(np.triu(dist < limit, 1))
+    return list(zip(a.tolist(), b.tolist()))
 
 
 @dataclass
@@ -148,10 +143,11 @@ class MultiplexGraph:
                     raise ValueError(f"{name} references nodes outside range")
                 if np.any(e[:, 0] == e[:, 1]):
                     raise ValueError(f"{name} contains a self-edge")
-                fwd = set(map(tuple, e))
-                if len(fwd) != e.shape[0]:
-                    raise ValueError(f"{name} contains duplicate directed edges")
-                if any((b, a) not in fwd for a, b in fwd):
+                key = _edge_keys(e, self.n_nodes)
+                if np.any(np.diff(key) <= 0):
+                    raise ValueError(f"{name} is not sorted by (i, j) or repeats an edge")
+                reverse = np.sort(_edge_keys(e[:, ::-1], self.n_nodes))
+                if not np.array_equal(reverse, key):
                     raise ValueError(f"{name} is not symmetric as a directed set")
         return self
 
@@ -193,9 +189,9 @@ def build_multiplex(
     else:
         raise ValueError(f"unknown local rule {local_rule!r}")
     glob = neighbor_search(m.coords, global_cutoff)
-    if global_excludes_local and local.size and glob.size:
-        keep = ~_rows_in(glob, local)
-        glob = glob[keep]
+    if global_excludes_local:
+        n = m.n_atoms
+        glob = glob[~np.isin(_edge_keys(glob, n), _edge_keys(local, n))]
     g = MultiplexGraph(
         n_nodes=m.n_atoms,
         local_edges=local,
@@ -206,9 +202,9 @@ def build_multiplex(
     return g.validate()
 
 
-def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    have = set(map(tuple, table))
-    return np.fromiter((tuple(r) in have for r in rows), dtype=bool, count=len(rows))
+def _edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """One integer per directed edge, ascending exactly when rows ascend in (i, j)."""
+    return edges[:, 1] * n_nodes + edges[:, 0]
 
 
 @dataclass
@@ -230,49 +226,46 @@ class AngleTriples:
     one_hop_target: np.ndarray  # edge id of (j -> i)
 
 
-def adjacency(n_nodes: int, edges: np.ndarray) -> list[np.ndarray]:
-    """Sorted neighbor array per node from a directed edge array."""
-    nbrs: list[list[int]] = [[] for _ in range(n_nodes)]
-    for j, i in edges:
-        nbrs[int(i)].append(int(j))
-    return [np.asarray(sorted(x), dtype=np.int64) for x in nbrs]
+def _edges_into(ptr: np.ndarray, nodes: np.ndarray):
+    """Every edge into each of ``nodes``, grouped by position in ``nodes``.
+
+    Returns (owner, rows): rows[k] is an edge id into node nodes[owner[k]];
+    within a group the rows, and so their sources, ascend.
+    """
+    start = ptr[nodes]
+    counts = ptr[nodes + 1] - start
+    owner = np.repeat(np.arange(nodes.size), counts)
+    first = np.cumsum(counts) - counts
+    rows = np.arange(owner.size) - first[owner] + start[owner]
+    return owner, rows
 
 
 def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
     """List every two-hop and one-hop angle triple of the local layer.
 
     Triples are emitted in local edge order with neighbors ascending, so
-    the output is deterministic for a given graph.
+    the output is deterministic for a given graph.  Relies on the edges
+    being sorted by (i, j), as :meth:`MultiplexGraph.validate` checks: the
+    edges into node v are then rows ptr[v]:ptr[v + 1], sources ascending.
     """
-    edges = g.local_edges
-    nbrs = adjacency(g.n_nodes, edges)
-    edge_id = {(int(j), int(i)): e for e, (j, i) in enumerate(edges)}
-    t2, t2e, t2t = [], [], []
-    t1, t1e, t1t = [], [], []
-    for e, (j, i) in enumerate(edges):
-        j, i = int(j), int(i)
-        for k in nbrs[j]:
-            k = int(k)
-            if k == i:
-                continue
-            t2.append((k, j, i))
-            t2e.append(edge_id[(k, j)])
-            t2t.append(e)
-        for jp in nbrs[i]:
-            jp = int(jp)
-            if jp == j:
-                continue
-            t1.append((jp, i, j))
-            t1e.append(edge_id[(jp, i)])
-            t1t.append(e)
-    empty3 = np.empty((0, 3), dtype=np.int64)
+    edges = np.asarray(g.local_edges, dtype=np.int64)
+    src, dst = edges[:, 0], edges[:, 1]
+    ptr = np.searchsorted(dst, np.arange(g.n_nodes + 1))
+    # two-hop: for edge e = (j -> i), each edge (k -> j) with k != i
+    t2t, t2e = _edges_into(ptr, src)
+    keep = src[t2e] != dst[t2t]
+    t2t, t2e = t2t[keep], t2e[keep]
+    # one-hop: for edge e = (j -> i), each edge (jp -> i) with jp != j
+    t1t, t1e = _edges_into(ptr, dst)
+    keep = src[t1e] != src[t1t]
+    t1t, t1e = t1t[keep], t1e[keep]
     return AngleTriples(
-        two_hop=np.asarray(t2, dtype=np.int64) if t2 else empty3,
-        one_hop=np.asarray(t1, dtype=np.int64) if t1 else empty3,
-        two_hop_edge=np.asarray(t2e, dtype=np.int64),
-        two_hop_target=np.asarray(t2t, dtype=np.int64),
-        one_hop_edge=np.asarray(t1e, dtype=np.int64),
-        one_hop_target=np.asarray(t1t, dtype=np.int64),
+        two_hop=np.stack([src[t2e], src[t2t], dst[t2t]], axis=1),
+        one_hop=np.stack([src[t1e], dst[t1t], src[t1t]], axis=1),
+        two_hop_edge=t2e,
+        two_hop_target=t2t,
+        one_hop_edge=t1e,
+        one_hop_target=t1t,
     )
 
 
@@ -305,11 +298,11 @@ class MessageCounts:
     per-node layer maps (2 N).
     """
 
-    global_mp: int
-    local_step1: int
-    local_step2: int
-    local_step3: int
-    cross_layer: int
+    global_mp: int = 0
+    local_step1: int = 0
+    local_step2: int = 0
+    local_step3: int = 0
+    cross_layer: int = 0
 
     @property
     def total(self) -> int:

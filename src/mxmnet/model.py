@@ -41,7 +41,7 @@ from .autodiff import (
 )
 from .basis import N_RBF, N_SHBF, N_SRBF, GeometricFeatures, featurize
 from .data import Molecule
-from .graph import MultiplexGraph, build_multiplex
+from .graph import MessageCounts, MultiplexGraph, build_multiplex
 
 __all__ = [
     "ModelConfig",
@@ -211,29 +211,16 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
 
 
 @dataclass
-class MessageTally:
+class MessageTally(MessageCounts):
     """Messages actually materialized during one forward pass.
 
     Incremented from runtime array row counts, independently of the
     closed-form predictions in :func:`mxmnet.graph.count_messages`.
-    ``cross_init`` counts the extra init map rows of local-first mode.
+    ``cross_init`` counts the extra init map rows of local-first mode; it
+    is in neither ``as_tuple`` nor ``total``.
     """
 
-    global_mp: int = 0
-    local_step1: int = 0
-    local_step2: int = 0
-    local_step3: int = 0
-    cross_layer: int = 0
     cross_init: int = 0
-
-    def as_tuple(self):
-        return (
-            self.global_mp,
-            self.local_step1,
-            self.local_step2,
-            self.local_step3,
-            self.cross_layer,
-        )
 
 
 def _linear(x, params, w_name, b_name):
@@ -339,9 +326,7 @@ def cross_layer_map(h, params, prefix, tally=None, init=False):
 
 def output_head(h, params, prefix):
     """Per-node scalar: two (linear + swish) layers then a biasless F -> 1."""
-    x = swish(_linear(h, params, f"{prefix}/w1", f"{prefix}/b1"))
-    x = swish(_linear(x, params, f"{prefix}/w2", f"{prefix}/b2"))
-    return matmul(x, params[f"{prefix}/w3"])
+    return matmul(_mlp2(h, params, prefix), params[f"{prefix}/w3"])
 
 
 def build_graph(m: Molecule, cfg: ModelConfig) -> MultiplexGraph:
@@ -357,7 +342,7 @@ def build_graph(m: Molecule, cfg: ModelConfig) -> MultiplexGraph:
 def prepare_inputs(m: Molecule, cfg: ModelConfig):
     """Graph plus geometric features for one molecule (cache-friendly)."""
     g = build_graph(m, cfg)
-    feats = featurize(m, g, cfg.local_cutoff, cfg.global_cutoff)
+    feats = featurize(m, g, cfg.local_cutoff)
     return g, feats
 
 

@@ -13,9 +13,7 @@ dataset, config and seeds produce identical reports apart from wall time.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,34 +35,13 @@ __all__ = [
     "TrainResult",
     "evaluate",
     "train",
-    "worker_count",
     "prepare_all",
 ]
 
 
-def worker_count() -> int:
-    """Feature-preparation thread count; MXM_THREADS overrides (min 1)."""
-    raw = os.environ.get("MXM_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"MXM_THREADS must be an integer, got {raw!r}") from None
-    return min(8, os.cpu_count() or 1)
-
-
-def prepare_all(molecules, cfg: ModelConfig, workers: int | None = None):
-    """Graph + features per molecule, computed on a thread pool.
-
-    Feature construction is pure per molecule, so the parallel result is
-    identical to the serial one; order follows the input list.
-    """
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or len(molecules) < 2:
-        return [prepare_inputs(m, cfg) for m in molecules]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda m: prepare_inputs(m, cfg), molecules))
+def prepare_all(molecules, cfg: ModelConfig):
+    """Graph + features per molecule, in input order."""
+    return [prepare_inputs(m, cfg) for m in molecules]
 
 
 @dataclass

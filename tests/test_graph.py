@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from mxmnet import fixtures
+from mxmnet import elements, fixtures
 from mxmnet.data import Molecule
 from mxmnet.graph import (
+    BOND_SLACK,
     MultiplexGraph,
-    adjacency,
     build_multiplex,
     count_angles,
     count_messages,
@@ -68,11 +68,44 @@ def test_derive_bonds_prefers_explicit_bonds():
     assert derive_bonds(m) == [(0, 1), (0, 2)]
 
 
+def _bonds_by_pair_loop(m):
+    """Reference: the covalent-radius rule tested pair by pair, row-major."""
+    radii = np.array([elements.covalent_radius(int(z)) for z in m.atomic_numbers])
+    diff = m.coords[:, None, :] - m.coords[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    limit = radii[:, None] + radii[None, :] + BOND_SLACK
+    pairs = []
+    for a in range(m.n_atoms):
+        for b in range(a + 1, m.n_atoms):
+            if dist[a, b] < limit[a, b]:
+                pairs.append((a, b))
+    return pairs
+
+
+def _reference_molecules():
+    """Fixtures, seeded random molecules and a single atom, each with its
+    explicit bonds and again without them (covalent-radius fallback)."""
+    rng = np.random.default_rng(38)
+    mols = fixtures.fixture_set() + [fixtures.dihydrogen()]
+    mols += [fixtures.random_molecule(rng) for _ in range(20)]
+    mols.append(Molecule([6], [[0.0, 0.0, 0.0]]))
+    return mols + [Molecule(m.atomic_numbers, m.coords) for m in mols]
+
+
 def test_derive_bonds_distance_rule():
     h2 = Molecule([1, 1], [[0.0, 0.0, 0.0], [0.74, 0.0, 0.0]])
     assert derive_bonds(h2) == [(0, 1)]  # 0.74 < 0.31 + 0.31 + 0.3
     far = Molecule([2, 2], [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
     assert derive_bonds(far) == []
+
+
+def test_derive_bonds_matches_pair_loop():
+    for m in _reference_molecules():
+        if m.bonds is not None:
+            continue
+        got = derive_bonds(m)
+        assert got == _bonds_by_pair_loop(m)
+        assert all(type(a) is int and type(b) is int for a, b in got)
 
 
 def test_build_multiplex_water():
@@ -143,6 +176,16 @@ def test_validate_catches_broken_graphs():
     )
     with pytest.raises(ValueError):
         selfloop.validate()
+    # symmetric and duplicate-free, but not in (i, j) order
+    unsorted = MultiplexGraph(
+        n_nodes=3,
+        local_edges=np.array([[1, 0], [2, 0], [0, 2], [0, 1]], dtype=np.int64),
+        global_edges=np.empty((0, 2), dtype=np.int64),
+        local_rule="bonds",
+        global_cutoff=5.0,
+    )
+    with pytest.raises(ValueError):
+        unsorted.validate()
 
 
 def _graph_from_undirected(n, pairs):
@@ -222,10 +265,54 @@ def test_two_hop_size_identity():
         n, pairs = fixtures.random_simple_graph(rng)
         g = _graph_from_undirected(n, pairs)
         t = enumerate_angle_triples(g)
-        nbrs = adjacency(g.n_nodes, g.local_edges)
-        want = sum(len(nbrs[j]) - 1 for j, i in g.local_edges)
+        deg = np.bincount(g.local_edges[:, 1], minlength=g.n_nodes)
+        want = sum(deg[j] - 1 for j, i in g.local_edges)
         assert t.two_hop.shape[0] == want
         assert t.one_hop.shape[0] == want  # same identity from the i side
+
+
+def _triples_by_edge_loop(g):
+    """Reference: per-edge Python enumeration through an edge-id dict."""
+    edges = g.local_edges
+    nbrs = [[] for _ in range(g.n_nodes)]
+    for j, i in edges:
+        nbrs[int(i)].append(int(j))
+    nbrs = [sorted(x) for x in nbrs]
+    edge_id = {(int(j), int(i)): e for e, (j, i) in enumerate(edges)}
+    t2, t2e, t2t = [], [], []
+    t1, t1e, t1t = [], [], []
+    for e, (j, i) in enumerate(edges):
+        j, i = int(j), int(i)
+        for k in nbrs[j]:
+            if k != i:
+                t2.append((k, j, i))
+                t2e.append(edge_id[(k, j)])
+                t2t.append(e)
+        for jp in nbrs[i]:
+            if jp != j:
+                t1.append((jp, i, j))
+                t1e.append(edge_id[(jp, i)])
+                t1t.append(e)
+    return {
+        "two_hop": np.array(t2, dtype=np.int64).reshape(-1, 3),
+        "one_hop": np.array(t1, dtype=np.int64).reshape(-1, 3),
+        "two_hop_edge": np.array(t2e, dtype=np.int64),
+        "two_hop_target": np.array(t2t, dtype=np.int64),
+        "one_hop_edge": np.array(t1e, dtype=np.int64),
+        "one_hop_target": np.array(t1t, dtype=np.int64),
+    }
+
+
+def test_triples_match_edge_loop():
+    for m in _reference_molecules():
+        for rule in ("bonds", "cutoff"):
+            g = build_multiplex(m, local_rule=rule, local_cutoff=2.0, global_cutoff=5.0)
+            t = enumerate_angle_triples(g)
+            for name, want in _triples_by_edge_loop(g).items():
+                got = getattr(t, name)
+                assert got.dtype == want.dtype, name
+                assert got.shape == want.shape, name
+                assert np.array_equal(got, want), name
 
 
 def test_count_angles_small_cases():

@@ -18,7 +18,6 @@ from mxmnet.training import (
     lr_at,
     prepare_all,
     train,
-    worker_count,
 )
 
 
@@ -162,16 +161,6 @@ def test_metrics_rejects_bad_input():
         compute_metrics(np.empty(0), np.empty(0))
     with pytest.raises(ValueError):
         compute_metrics(np.ones(3), np.ones(3), sigma=0.0)
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("MXM_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("MXM_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("MXM_THREADS", "lots")
-    with pytest.raises(ValueError):
-        worker_count()
 
 
 def test_prepare_all_preserves_order():
