@@ -14,8 +14,15 @@ Design constraints honoured here:
   several ``backward`` calls on one tape) sums its contributions;
 * each step keeps only what its gradient rule reads, and forms a backward
   product only for operands that need a gradient;
-* ``matmul`` takes an optional bias, so a dense layer is one step, and
-  ``swish`` keeps its sigmoid for backward instead of recomputing it;
+* ``backward`` frees the gradient of each step's output as soon as that
+  step's rule has run, so at any moment it holds only the gradients of
+  tensors whose producing step is still to come; leaf gradients stay.  A
+  first gradient is adopted without a copy, so rules hand over fresh
+  arrays and copy only views of their output's gradient;
+* ``matmul`` takes an optional bias, so a dense layer is one step, and may
+  read a row block of its right operand, so a layer on concatenated
+  features can run per part; ``swish`` keeps its sigmoid for backward
+  instead of recomputing it;
 * ``segment_sum`` adds rows per segment in a canonical order (sorted by raw
   row bytes within each segment), so permuting its input rows returns a
   bit-identical result;
@@ -40,7 +47,6 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
-    "concat",
     "gather",
     "segment_sum",
     "swish",
@@ -58,7 +64,8 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves; derived tensors inherit the
     flag from their inputs.  ``grad`` is lazily allocated by ``backward``
-    and always matches ``data`` in shape.
+    and always matches ``data`` in shape; on a tensor that an op produced,
+    ``backward`` sets it back to ``None`` once that op has consumed it.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -133,10 +140,13 @@ def _record(name, output, backward_fn):
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    # A first gradient is adopted, so ``g`` must be a fresh float64 array
+    # that nothing else holds or will write to.  Products of 0-d operands
+    # come back as numpy scalars and are boxed into 0-d arrays.
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # own the buffer, g may alias
+        t.grad = g if isinstance(g, np.ndarray) else np.array(g)
     else:
         t.grad += g
 
@@ -146,8 +156,12 @@ def backward(output: Tensor, tape: Tape):
 
     ``output`` must be a scalar recorded on ``tape``.  Leaf grad buffers are
     not cleared first, so backward passes over separate tapes that share
-    parameters add up (gradient accumulation over a batch).  Call this once
-    per tape.
+    parameters add up (gradient accumulation over a batch).
+
+    Once a step's rule has run, the gradient of that step's output (``output``
+    included) is set back to ``None``: nothing later on the tape reads it, and
+    dropping it right away keeps peak memory to the gradients still in use.
+    Only tensors no step produced, the leaves, keep their ``grad``.
     """
     if output.data.shape != ():
         raise ShapeError(
@@ -159,6 +173,7 @@ def backward(output: Tensor, tape: Tape):
     for op in reversed(tape.ops):
         if op.output.grad is not None:
             op.backward_fn()
+            op.output.grad = None
 
 
 def _require_grad(*tensors) -> bool:
@@ -177,8 +192,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn():
         g = out.grad
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(a, g.copy())
+        _accumulate(b, g.copy())
 
     return _record("add", out, backward_fn)
 
@@ -190,7 +205,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn():
         g = out.grad
-        _accumulate(a, g)
+        _accumulate(a, g.copy())
         if b.requires_grad:
             _accumulate(b, -g)
 
@@ -223,22 +238,39 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record("scale", out, backward_fn)
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul(
+    a: Tensor,
+    b: Tensor,
+    bias: Tensor | None = None,
+    rows: tuple[int, int] | None = None,
+) -> Tensor:
     """Matrix product of a (m, k) tensor with a (k, n) tensor.
 
     An optional length-n ``bias`` is added to every row of the product, so
-    a dense layer records one step.
+    a dense layer records one step.  With ``rows=(lo, hi)`` the right
+    operand is the row block ``b[lo:hi]``, so ``k`` must be ``hi - lo``; the
+    weight gradient lands in those rows of ``b.grad`` and the other rows
+    receive zero.
     """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
             f"matmul needs 2-d operands, got {a.data.shape} and {b.data.shape}"
         )
-    if a.data.shape[1] != b.data.shape[0]:
+    if rows is None:
+        lo, hi = 0, b.data.shape[0]
+    else:
+        lo, hi = rows
+        if not 0 <= lo <= hi <= b.data.shape[0]:
+            raise ShapeError(
+                f"matmul: row block {lo}:{hi} outside the {b.data.shape[0]} rows of b"
+            )
+    if a.data.shape[1] != hi - lo:
         raise ShapeError(
-            f"matmul: inner dimensions differ, {a.data.shape} x {b.data.shape}"
+            f"matmul: inner dimensions differ, {a.data.shape} x "
+            f"{b.data.shape} rows {lo}:{hi}"
         )
     operands = (a, b)
-    product = a.data @ b.data
+    product = a.data @ b.data[lo:hi]
     if bias is not None:
         if bias.data.shape != (b.data.shape[1],):
             raise ShapeError(
@@ -252,39 +284,19 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward_fn():
         g = out.grad
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ b.data[lo:hi].T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            gb = a.data.T @ g
+            if rows is None:
+                _accumulate(b, gb)
+            else:
+                if b.grad is None:
+                    b.grad = np.zeros(b.data.shape)
+                b.grad[lo:hi] += gb
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=0))
 
     return _record("matmul", out, backward_fn)
-
-
-def concat(tensors) -> Tensor:
-    """Concatenate along the last axis; leading dimensions must agree."""
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    lead = tensors[0].data.shape[:-1]
-    for t in tensors[1:]:
-        if t.data.ndim != tensors[0].data.ndim or t.data.shape[:-1] != lead:
-            raise ShapeError(
-                "concat: leading dimensions differ, "
-                + " vs ".join(str(t.data.shape) for t in tensors)
-            )
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=-1), _require_grad(*tensors)
-    )
-    widths = [t.data.shape[-1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def backward_fn():
-        g = out.grad
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, g[..., lo:hi])
-
-    return _record("concat", out, backward_fn)
 
 
 def _ordered_segment_sum(data, segments, order, num):
@@ -386,7 +398,7 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum(), x.requires_grad)
 
     def backward_fn():
-        _accumulate(x, np.broadcast_to(out.grad, x.data.shape))
+        _accumulate(x, np.full(x.data.shape, out.grad))
 
     return _record("sum_all", out, backward_fn)
 

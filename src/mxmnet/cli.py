@@ -22,6 +22,7 @@ from .autodiff import Tape, backward
 from .data import Dataset, load_atomrefs, load_manifest, split_dataset, target_stats
 from .model import (
     ModelConfig,
+    check_params,
     forward,
     init_params,
     load_checkpoint,
@@ -318,6 +319,10 @@ def cmd_eval(args) -> int:
     mcfg = _model_config(cfg)
     tcfg = _train_config(cfg)
     params = load_checkpoint(args.checkpoint)
+    try:
+        check_params(params, mcfg)
+    except ValueError as e:
+        raise ConfigError(f"checkpoint {args.checkpoint} does not fit: {e}") from None
     mols = ds.subset(args.split)
     if not mols:
         raise ConfigError(f"split {args.split!r} is empty")

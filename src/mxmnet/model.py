@@ -31,7 +31,6 @@ from . import elements
 from .autodiff import (
     Tensor,
     add,
-    concat,
     gather,
     matmul,
     mul,
@@ -48,6 +47,7 @@ __all__ = [
     "ParamStore",
     "MessageTally",
     "init_params",
+    "check_params",
     "global_mp",
     "local_mp",
     "cross_layer_map",
@@ -150,26 +150,59 @@ class ParamStore:
         return sum(t.data.size for t in self._params.values())
 
 
-def _add_mlp(store, rng, prefix, d_in, d_hidden, d_out):
-    _add_weight(store, rng, f"{prefix}/w1", d_in, d_hidden)
-    _add_bias(store, rng, f"{prefix}/b1", d_in, d_hidden)
-    _add_weight(store, rng, f"{prefix}/w2", d_hidden, d_out)
-    _add_bias(store, rng, f"{prefix}/b2", d_hidden, d_out)
+def _mlp_layout(prefix, d_in, d_hidden, d_out):
+    return [
+        _weight(f"{prefix}/w1", d_in, d_hidden),
+        _bias(f"{prefix}/b1", d_in, d_hidden),
+        _weight(f"{prefix}/w2", d_hidden, d_out),
+        _bias(f"{prefix}/b2", d_hidden, d_out),
+    ]
 
 
-def _add_weight(store, rng, name, fan_in, fan_out):
-    s = 1.0 / math.sqrt(fan_in)
-    store.add(name, rng.uniform(-s, s, size=(fan_in, fan_out)))
+def _weight(name, fan_in, fan_out):
+    return name, (fan_in, fan_out), 1.0 / math.sqrt(fan_in)
 
 
-def _add_bias(store, rng, name, fan_in, size):
-    s = 1.0 / math.sqrt(fan_in)
-    store.add(name, rng.uniform(-s, s, size=size))
+def _bias(name, fan_in, size):
+    return name, (size,), 1.0 / math.sqrt(fan_in)
 
 
-def _add_residuals(store, rng, prefix, dim, n_res):
+def _residuals_layout(prefix, dim, n_res):
+    layout = []
     for r in range(n_res):
-        _add_mlp(store, rng, f"{prefix}/res{r}", dim, dim, dim)
+        layout += _mlp_layout(f"{prefix}/res{r}", dim, dim, dim)
+    return layout
+
+
+def _param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
+    """Every parameter as (name, shape, init bound), in creation order."""
+    f = cfg.hidden_dim
+    layout = [("embed/table", (cfg.max_z, f), math.sqrt(3.0))]
+    if cfg.local_first:
+        layout += _mlp_layout("cross_init", f, f, f)
+    cat = 2 * f + N_RBF
+    sbf_dim = N_SHBF * N_SRBF
+    for t in range(cfg.n_layers):
+        p = f"layer{t}"
+        for mp in ("mp1", "mp2"):
+            layout += _mlp_layout(f"{p}/global/{mp}/mlp", cat, f, f)
+            layout.append(_weight(f"{p}/global/{mp}/edge_w", N_RBF, f))
+        layout += _residuals_layout(f"{p}/global/fu", f, cfg.n_residuals)
+        layout += _mlp_layout(f"{p}/local/mlp_kj", cat, f, f)
+        layout.append(_weight(f"{p}/local/edge_w1", N_RBF, f))
+        layout += _mlp_layout(f"{p}/local/gate1", sbf_dim, f, f)
+        layout += _mlp_layout(f"{p}/local/mlp_ji", cat, f, f)
+        layout += _mlp_layout(f"{p}/local/mlp_m", f, f, f)
+        layout.append(_weight(f"{p}/local/edge_w2", N_RBF, f))
+        layout += _mlp_layout(f"{p}/local/gate2", sbf_dim, f, f)
+        layout += _mlp_layout(f"{p}/local/mlp_m2", f, f, f)
+        layout.append(_weight(f"{p}/local/edge_w3", N_RBF, f))
+        layout += _residuals_layout(f"{p}/local/fu", f, cfg.n_residuals)
+        layout += _mlp_layout(f"{p}/cross_gl", f, f, f)
+        layout += _mlp_layout(f"{p}/cross_lg", f, f, f)
+        layout += _mlp_layout(f"{p}/out", f, f, f)
+        layout.append(_weight(f"{p}/out/w3", f, 1))
+    return layout
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
@@ -180,34 +213,37 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
     """
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    f = cfg.hidden_dim
-    r3 = math.sqrt(3.0)
-    store.add("embed/table", rng.uniform(-r3, r3, size=(cfg.max_z, f)))
-    if cfg.local_first:
-        _add_mlp(store, rng, "cross_init", f, f, f)
-    cat = 2 * f + N_RBF
-    sbf_dim = N_SHBF * N_SRBF
-    for t in range(cfg.n_layers):
-        p = f"layer{t}"
-        for mp in ("mp1", "mp2"):
-            _add_mlp(store, rng, f"{p}/global/{mp}/mlp", cat, f, f)
-            _add_weight(store, rng, f"{p}/global/{mp}/edge_w", N_RBF, f)
-        _add_residuals(store, rng, f"{p}/global/fu", f, cfg.n_residuals)
-        _add_mlp(store, rng, f"{p}/local/mlp_kj", cat, f, f)
-        _add_weight(store, rng, f"{p}/local/edge_w1", N_RBF, f)
-        _add_mlp(store, rng, f"{p}/local/gate1", sbf_dim, f, f)
-        _add_mlp(store, rng, f"{p}/local/mlp_ji", cat, f, f)
-        _add_mlp(store, rng, f"{p}/local/mlp_m", f, f, f)
-        _add_weight(store, rng, f"{p}/local/edge_w2", N_RBF, f)
-        _add_mlp(store, rng, f"{p}/local/gate2", sbf_dim, f, f)
-        _add_mlp(store, rng, f"{p}/local/mlp_m2", f, f, f)
-        _add_weight(store, rng, f"{p}/local/edge_w3", N_RBF, f)
-        _add_residuals(store, rng, f"{p}/local/fu", f, cfg.n_residuals)
-        _add_mlp(store, rng, f"{p}/cross_gl", f, f, f)
-        _add_mlp(store, rng, f"{p}/cross_lg", f, f, f)
-        _add_mlp(store, rng, f"{p}/out", f, f, f)
-        _add_weight(store, rng, f"{p}/out/w3", f, 1)
+    for name, shape, bound in _param_layout(cfg):
+        store.add(name, rng.uniform(-bound, bound, size=shape))
     return store
+
+
+def check_params(store: ParamStore, cfg: ModelConfig):
+    """Raise ValueError at the first parameter whose name or shape differs
+    from the layout ``cfg`` implies, or if the counts differ.
+
+    Graph settings (cutoffs, local rule, global exclusion) leave no trace in
+    the parameters, so they cannot be checked here.
+    """
+    want = [(name, shape) for name, shape, _ in _param_layout(cfg)]
+    got = [(name, t.data.shape) for name, t in store.items()]
+    for k, ((name, shape), (want_name, want_shape)) in enumerate(zip(got, want)):
+        if name != want_name:
+            raise ValueError(
+                f"parameter {k} is {name!r}, the model config expects {want_name!r}"
+            )
+        if shape != want_shape:
+            raise ValueError(
+                f"parameter {name!r} has shape {shape}, the model config "
+                f"expects {want_shape}"
+            )
+    if len(got) != len(want):
+        longer = got if len(got) > len(want) else want
+        first = longer[min(len(got), len(want))][0]
+        raise ValueError(
+            f"{len(got)} parameters where the model config expects {len(want)}, "
+            f"first unmatched {first!r}"
+        )
 
 
 @dataclass
@@ -242,10 +278,26 @@ def residual_update(h, params, prefix, n_res):
     return h
 
 
+def _edge_mlp2(h, rbf, src, dst, params, prefix):
+    # _mlp2 on the edge rows concat([h[src], h[dst], rbf]).  The first layer
+    # is split by rows of w1 and its node parts run on the n nodes before
+    # the gather, not on the E edges after it.  w1 stays one (2F + N_RBF, F)
+    # parameter read in row blocks, so the parameter layout, checkpoint
+    # bytes and older checkpoints are unchanged.
+    f = h.data.shape[1]
+    w1 = params[f"{prefix}/w1"]
+    x = add(
+        add(
+            gather(matmul(h, w1, rows=(0, f)), src),
+            gather(matmul(h, w1, rows=(f, 2 * f)), dst),
+        ),
+        matmul(rbf, w1, params[f"{prefix}/b1"], rows=(2 * f, 2 * f + N_RBF)),
+    )
+    return swish(_linear(swish(x), params, f"{prefix}/w2", f"{prefix}/b2"))
+
+
 def _global_pass(h, rbf, src, dst, n, params, prefix, tally):
-    hj = gather(h, src)
-    hi = gather(h, dst)
-    msg = _mlp2(concat([hj, hi, rbf]), params, f"{prefix}/mlp")
+    msg = _edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp")
     msg = mul(msg, matmul(rbf, params[f"{prefix}/edge_w"]))
     if tally is not None:
         tally.global_mp += int(msg.data.shape[0])
@@ -281,17 +333,13 @@ def local_mp(h, feats, params, prefix, n_res, tally=None):
     src, dst, n = feats.local_src, feats.local_dst, feats.n_nodes
     e_l = int(src.shape[0])
 
-    hj = gather(h, src)
-    hi = gather(h, dst)
-    pair = concat([hj, hi, rbf])
-
     edge_part = mul(
-        _mlp2(pair, params, f"{prefix}/mlp_kj"),
+        _edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp_kj"),
         matmul(rbf, params[f"{prefix}/edge_w1"]),
     )
     tri_gate = _mlp2(sbf2, params, f"{prefix}/gate1")
     tri_msg = mul(gather(edge_part, feats.two_hop_edge), tri_gate)
-    edge_msg = _mlp2(pair, params, f"{prefix}/mlp_ji")
+    edge_msg = _edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp_ji")
     if tally is not None:
         tally.local_step1 += int(tri_msg.data.shape[0]) + int(edge_msg.data.shape[0])
     m1 = add(edge_msg, segment_sum(tri_msg, feats.two_hop_target, e_l))

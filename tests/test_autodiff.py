@@ -10,7 +10,6 @@ from mxmnet.autodiff import (
     abs_val,
     add,
     backward,
-    concat,
     gather,
     matmul,
     mul,
@@ -147,17 +146,25 @@ def test_matmul_skips_grads_of_constant_operands():
     assert np.allclose(w.grad, np.tile(const.data.sum(axis=0)[:, None], (1, 3)))
 
 
-def test_concat_grads_match_fd():
+def test_matmul_row_block_grads_match_fd():
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((4, 2))
-    b = rng.standard_normal((4, 3))
+    a = rng.standard_normal((4, 3))
+    b = rng.standard_normal((7, 5))
+    bias = rng.standard_normal(5)
     w = rng.standard_normal((4, 5))
     ta = Tensor(a, requires_grad=True)
     tb = Tensor(b, requires_grad=True)
-    ga, gb = _grad_of(lambda: sum_all(mul(concat([ta, tb]), Tensor(w))), [ta, tb])
-    ref = lambda: float(np.sum(np.concatenate([a, b], axis=1) * w))
+    tbias = Tensor(bias, requires_grad=True)
+    ga, gb, gbias = _grad_of(
+        lambda: sum_all(mul(matmul(ta, tb, tbias, rows=(2, 5)), Tensor(w))),
+        [ta, tb, tbias],
+    )
+    ref = lambda: float(np.sum((a @ b[2:5] + bias) * w))
     assert rel_gap(ga, central_diff(ref, a, FD_STEP)) < FD_TOL
-    assert rel_gap(gb, central_diff(ref, b, FD_STEP)) < FD_TOL
+    assert rel_gap(gb[2:5], central_diff(ref, b, FD_STEP)[2:5]) < FD_TOL
+    assert rel_gap(gbias, central_diff(ref, bias, FD_STEP)) < FD_TOL
+    assert np.array_equal(gb[:2], np.zeros((2, 5)))
+    assert np.array_equal(gb[5:], np.zeros((2, 5)))
 
 
 def test_gather_accumulates_repeated_rows():
@@ -384,6 +391,10 @@ def test_shape_mismatches_raise():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(2)))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 2))), rows=(0, 2))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 2))), rows=(3, 6))
 
 
 def test_gradient_accumulates_across_tapes():
@@ -395,3 +406,34 @@ def test_gradient_accumulates_across_tapes():
         y2 = sum_all(x)
     backward(y2, t2)
     assert np.array_equal(x.grad, np.full((2, 2), 2.0))
+
+
+def test_backward_frees_intermediate_grads():
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        h = swish(matmul(x, w))
+        out = sum_all(mul(gather(h, [0, 2, 2]), gather(h, [1, 1, 3])))
+    backward(out, tape)
+    assert len(tape) == 6
+    assert all(op.output.grad is None for op in tape.ops)
+    first = (x.grad.copy(), w.grad.copy())
+    backward(out, tape)  # nothing stale is left behind: a rerun adds the same again
+    assert np.array_equal(x.grad, 2.0 * first[0])
+    assert np.array_equal(w.grad, 2.0 * first[1])
+
+
+def test_leaf_grads_own_their_buffers():
+    rng = np.random.default_rng(20)
+    for op in (add, sub):
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        ga, gb = _grad_of(lambda: sum_all(op(a, b)), [a, b])
+        assert ga.flags.writeable and gb.flags.writeable
+        assert not np.shares_memory(ga, gb)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    (g,) = _grad_of(lambda: sum_all(x), [x])
+    assert g.flags.writeable
+    (g,) = _grad_of(lambda: scale(sum_all(x), 3.0), [x])
+    assert np.array_equal(g, np.full((2, 3), 4.0))

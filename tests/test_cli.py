@@ -13,7 +13,7 @@ from mxmnet import cli, fixtures
 from mxmnet.cli import ConfigError, parse_config, run_bench
 from mxmnet.data import load_molecule, save_molecule
 from mxmnet.graph import count_angles, enumerate_angle_triples, neighbor_search
-from mxmnet.model import ModelConfig, init_params
+from mxmnet.model import ModelConfig, init_params, save_checkpoint
 
 
 def _write_config(path, **kv):
@@ -236,6 +236,33 @@ def test_eval_missing_checkpoint_fails(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, expect",
+    [
+        (["--layers", "1"], "117 parameters where the model config expects 59, "
+         "first unmatched 'layer1/global/mp1/mlp/w1'"),
+        (["--layers", "3"], "117 parameters where the model config expects 175, "
+         "first unmatched 'layer2/global/mp1/mlp/w1'"),
+        (["--hidden", "4"], "'embed/table' has shape (54, 8), "
+         "the model config expects (54, 4)"),
+        (["--layers", "2", "--hidden", "8"], None),
+    ],
+)
+def test_eval_rejects_checkpoint_of_another_architecture(tmp_path, capsys, flags, expect):
+    manifest = _overfit_manifest(tmp_path)
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", test_frac=0.25, val_frac=0.0)
+    ckpt = str(tmp_path / "two.ckpt")
+    save_checkpoint(init_params(ModelConfig(hidden_dim=8, n_layers=2, n_residuals=1)), ckpt)
+    code = cli.main(["eval", "--config", cfg, "--checkpoint", ckpt, *flags])
+    err = capsys.readouterr().err
+    if expect is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expect in err
 
 
 def test_verify_passes_on_clean_fixtures(tmp_path, capsys):

@@ -190,6 +190,32 @@ def test_global_mp_with_no_edges_is_residual_only():
     assert np.array_equal(out.data, want.data)
 
 
+def test_global_mp_matches_numpy_oracle():
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=21)
+    rng = np.random.default_rng(22)
+    n = 5
+    src, dst = np.nonzero(~np.eye(n, dtype=bool) & (rng.random((n, n)) < 0.6))
+    rbf = rng.standard_normal((src.size, 16))
+    h = rng.standard_normal((n, 8))
+    got = global_mp(Tensor(h.copy()), (Tensor(rbf), src, dst, n), params, "layer0/global", 1)
+
+    def np_pass(x, prefix):
+        cat = np.concatenate([x[src], x[dst], rbf], axis=1)
+        msg = _np_mlp2(cat, params, f"{prefix}/mlp") * (rbf @ params[f"{prefix}/edge_w"].data)
+        agg = np.zeros_like(x)
+        np.add.at(agg, dst, msg)
+        return x + agg
+
+    want = np_pass(h, "layer0/global/mp1")
+    pre = "layer0/global/fu/res0"
+    z = want @ params[f"{pre}/w1"].data + params[f"{pre}/b1"].data
+    want = want + (z * _sigmoid(z)) @ params[f"{pre}/w2"].data + params[f"{pre}/b2"].data
+    want = np_pass(want, "layer0/global/mp2")
+    assert src.size > n
+    assert rel_gap(got.data, want) < 1e-12
+
+
 def test_global_mp_receptive_field_is_two_hops():
     # two passes over a path graph: perturbing one endpoint may only move
     # embeddings within graph distance two of it
