@@ -18,7 +18,8 @@ Design constraints honoured here:
   step's rule has run, so at any moment it holds only the gradients of
   tensors whose producing step is still to come; leaf gradients stay.  A
   first gradient is adopted without a copy, so rules hand over fresh
-  arrays and copy only views of their output's gradient;
+  arrays or their output's own gradient, which ``backward`` drops right
+  after; ``add`` copies it only when both operands need it;
 * ``matmul`` takes an optional bias, so a dense layer is one step, and may
   read a row block of its right operand, so a layer on concatenated
   features can run per part; ``swish`` keeps its sigmoid for backward
@@ -191,9 +192,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, _require_grad(a, b))
 
     def backward_fn():
+        # ``backward`` drops out.grad after this rule, so the first operand
+        # that needs it adopts it and only a second one gets a copy.
         g = out.grad
-        _accumulate(a, g.copy())
-        _accumulate(b, g.copy())
+        _accumulate(a, g)
+        _accumulate(b, g.copy() if a.requires_grad and b.requires_grad else g)
 
     return _record("add", out, backward_fn)
 
@@ -205,7 +208,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn():
         g = out.grad
-        _accumulate(a, g.copy())
+        _accumulate(a, g)
         if b.requires_grad:
             _accumulate(b, -g)
 

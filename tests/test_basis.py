@@ -22,7 +22,9 @@ from mxmnet.basis import (
     spherical_jl,
     zonal_harmonic,
 )
-from mxmnet.graph import build_multiplex
+from mxmnet.data import Molecule
+from mxmnet.graph import build_multiplex, enumerate_angle_triples
+from mxmnet.model import ModelConfig, prepare_inputs
 
 mpmath.mp.dps = 50
 
@@ -195,6 +197,44 @@ def test_spherical_basis_shape_checks():
         spherical_basis(np.array([0.0]), np.array([0.5]), 5.0)
 
 
+def test_spherical_basis_rows_are_batch_independent():
+    c = 5.0
+    roots = bessel_roots()
+    rng = np.random.default_rng(46)
+    d = rng.uniform(0.2, 4.9, size=30)
+    alpha = rng.uniform(0.0, np.pi, size=30)
+    # companions whose arguments z_lk d / c sit near 0 and just under and
+    # just over the degree, where j_l switches between its two methods
+    near = [c * l / roots[l, 0] * f for l in range(1, N_SHBF) for f in (1 - 1e-12, 1 + 1e-12)]
+    edge_d = np.array([1e-9] + near)
+    edge_alpha = np.linspace(0.0, np.pi, edge_d.size)
+    all_d = np.concatenate([edge_d, d])
+    all_alpha = np.concatenate([edge_alpha, alpha])
+    alone = np.concatenate(
+        [spherical_basis(all_d[i : i + 1], all_alpha[i : i + 1], c) for i in range(all_d.size)]
+    )
+    perm = rng.permutation(d.size)
+    shuffled = spherical_basis(d[perm], alpha[perm], c)
+    assert alone[edge_d.size :].tobytes() == shuffled[np.argsort(perm)].tobytes()
+    assert alone.tobytes() == spherical_basis(all_d, all_alpha, c).tobytes()
+
+    # multi-degree calls equal the per-degree calls, element by element
+    x = np.concatenate([[0.0, 1e-8], rng.uniform(0.0, 30.0, 40)])
+    x = np.concatenate([x] + [[l * (1 - 1e-12), l, l * (1 + 1e-12)] for l in range(1, N_SHBF + 1)])
+    degrees = np.arange(N_SHBF + 1)
+    table = spherical_jl(degrees[:, None], x[None, :])
+    for l in degrees:
+        assert table[l].tobytes() == spherical_jl(int(l), x).tobytes()
+        assert all(table[l, i] == spherical_jl(int(l), x[i]) for i in range(x.size))
+    # a small, slowly converging series value beside a large, fast one
+    # still stops on its own terms
+    assert spherical_jl(np.array([1, 20]), np.array([0.9, 10.0]))[1] == spherical_jl(20, 10.0)
+    cos = np.cos(rng.uniform(0.0, np.pi, 50))
+    ptable = legendre(degrees, cos[:, None])
+    for l in degrees:
+        assert ptable[:, l].tobytes() == legendre(int(l), cos).tobytes()
+
+
 def test_angle_between_basics():
     third = np.array([[0.5, math.sqrt(3) / 2, 0.0]])
     got = angle_between(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]), third)
@@ -255,8 +295,6 @@ def test_featurize_is_rigid_motion_invariant():
 
 
 def test_featurize_single_atom_is_empty():
-    from mxmnet.data import Molecule
-
     m = Molecule([6], [[0.0, 0.0, 0.0]])
     g = build_multiplex(m, global_cutoff=5.0)
     f = featurize(m, g, 2.0)
@@ -264,3 +302,47 @@ def test_featurize_single_atom_is_empty():
     assert f.rbf_global.shape == (0, N_RBF)
     assert f.sbf_two.shape == (0, N_SHBF * N_SRBF)
     assert f.sbf_one.shape == (0, N_SHBF * N_SRBF)
+
+
+def _per_triple_sbf(d, alpha, c):
+    # The per-column loop the vectorized basis replaced: each column's
+    # radial factor evaluated on the per-triple distances.
+    x = d / c
+    env = envelope(x)
+    roots = bessel_roots()
+    out = np.empty((d.size, N_SHBF * N_SRBF))
+    scale = math.sqrt(2.0 / c**3)
+    for l in range(N_SHBF):
+        y = zonal_harmonic(l, alpha)
+        for k in range(N_SRBF):
+            norm = abs(spherical_jl(l + 1, roots[l, k]))
+            radial = spherical_jl(l, roots[l, k] * x) * (scale / norm)
+            out[:, l * N_SRBF + k] = env * radial * y
+    return out
+
+
+def test_featurize_matches_per_triple_reference():
+    rng = np.random.default_rng(47)
+    mols = fixtures.fixture_set() + [fixtures.dihydrogen(), Molecule([6], [[0.0, 0.0, 0.0]])]
+    mols += [fixtures.random_molecule(rng) for _ in range(20)]
+    seen_triples = 0
+    for rule in ("bonds", "cutoff"):
+        for excludes in (False, True):
+            cfg = ModelConfig(local_rule=rule, global_excludes_local=excludes)
+            for m in mols:
+                g, f = prepare_inputs(m, cfg)
+                tri = enumerate_angle_triples(g)
+                e = g.local_edges
+                d = np.linalg.norm(m.coords[e[:, 0]] - m.coords[e[:, 1]], axis=1)
+                for t, edge, got in (
+                    (tri.two_hop, tri.two_hop_edge, f.sbf_two),
+                    (tri.one_hop, tri.one_hop_edge, f.sbf_one),
+                ):
+                    ang = angle_between(m.coords[t[:, 1]], m.coords[t[:, 0]], m.coords[t[:, 2]])
+                    want = _per_triple_sbf(d[edge], ang, cfg.local_cutoff)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (rule, excludes, m.key)
+                    seen_triples += t.shape[0]
+                assert np.array_equal(f.two_hop_edge, tri.two_hop_edge)
+                assert np.array_equal(f.one_hop_edge, tri.one_hop_edge)
+    assert seen_triples > 1000
