@@ -12,14 +12,26 @@ Design constraints honoured here:
   the differentiation logic lives entirely in this module);
 * gradients accumulate additively, so a tensor consumed by several ops (or
   several ``backward`` calls on one tape) sums its contributions;
-* each step keeps only what its gradient rule reads, and forms a backward
-  product only for operands that need a gradient;
-* ``backward`` frees the gradient of each step's output as soon as that
-  step's rule has run, so at any moment it holds only the gradients of
+* gradients live in :class:`GradSlot` objects, whose only field is
+  ``grad``.  A recorded step gets a fresh slot, which both its output
+  tensor and its :class:`TapeOp` point at; a leaf (a parameter or a
+  feature tensor) is its own slot.  A slot reaches no step or rule, so an
+  output held after its tape is gone keeps nothing else alive;
+* neither the tape nor any rule holds a tensor.  A rule captures the
+  slots of its operands that need a gradient and the arrays it reads, no
+  more: ``swish`` its sigmoid and its output, ``mul`` the other operand
+  only for an operand that needs a gradient, ``matmul`` its left operand
+  for the weight gradient and the row block of its right operand for the
+  input gradient, ``abs_val`` its input; ``add``, ``sub``, ``scale``,
+  ``gather``, ``segment_sum`` and ``sum_all`` read no array.  So once the
+  caller drops an intermediate tensor, numpy frees every array no rule
+  reads during forward;
+* ``backward`` takes each step's output gradient out of its slot before
+  the step's rule runs, so at any moment it holds only the gradients of
   tensors whose producing step is still to come; leaf gradients stay.  A
   first gradient is adopted without a copy, so rules hand over fresh
-  arrays or their output's own gradient, which ``backward`` drops right
-  after; ``add`` copies it only when both operands need it;
+  arrays or the gradient they were passed; ``add`` copies it only when
+  both operands need it;
 * ``matmul`` takes an optional bias, so a dense layer is one step, and may
   read a row block of its right operand, so a layer on concatenated
   features can run per part; ``swish`` keeps its sigmoid for backward
@@ -38,6 +50,7 @@ import threading
 import numpy as np
 
 __all__ = [
+    "GradSlot",
     "Tensor",
     "Tape",
     "TapeOp",
@@ -60,16 +73,30 @@ class ShapeError(ValueError):
     """Operand shapes do not satisfy an operation's contract."""
 
 
-class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+class GradSlot:
+    """Holder of one tensor's gradient; references nothing else."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
+class Tensor(GradSlot):
+    """A dense float64 array plus the slot its gradient goes to.
 
     ``requires_grad`` marks trainable leaves; derived tensors inherit the
-    flag from their inputs.  ``grad`` is lazily allocated by ``backward``
-    and always matches ``data`` in shape; on a tensor that an op produced,
-    ``backward`` sets it back to ``None`` once that op has consumed it.
+    flag from their inputs.  When a step on a tape produced the tensor,
+    ``slot`` is that step's :class:`GradSlot`, which ``backward`` fills and
+    empties again once the step's rule has run, and the tensor's own
+    ``grad`` stays ``None``.  Otherwise ``slot`` is ``None`` and the tensor
+    is its own slot (a leaf): ``grad`` is then the accumulated gradient,
+    lazily allocated by ``backward`` and matching ``data`` in shape.  (A
+    leaf does not point ``slot`` at itself: that reference cycle would
+    leave every untaped intermediate to the cyclic garbage collector.)
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -78,6 +105,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self.slot = None
 
     @property
     def shape(self):
@@ -93,13 +121,15 @@ class Tensor:
 
 
 class TapeOp:
-    """One recorded step: its output and the rule that backpropagates it."""
+    """One recorded step: the slot of its output's gradient and the rule
+    ``backward_fn(grad)`` that backpropagates that gradient into the slots
+    of the step's operands."""
 
-    __slots__ = ("name", "output", "backward_fn")
+    __slots__ = ("name", "slot", "backward_fn")
 
-    def __init__(self, name, output, backward_fn):
+    def __init__(self, name, slot, backward_fn):
         self.name = name
-        self.output = output
+        self.slot = slot
         self.backward_fn = backward_fn
 
 
@@ -136,45 +166,57 @@ class Tape:
 def _record(name, output, backward_fn):
     tape = _current_tape()
     if tape is not None and output.requires_grad:
-        tape.ops.append(TapeOp(name, output, backward_fn))
+        output.slot = GradSlot()
+        tape.ops.append(TapeOp(name, output.slot, backward_fn))
     return output
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _slot_of(t: Tensor):
+    """The slot a rule sends ``t``'s gradient to, ``None`` if it needs none."""
+    if not t.requires_grad:
+        return None
+    return t if t.slot is None else t.slot
+
+
+def _accumulate(slot, g: np.ndarray):
     # A first gradient is adopted, so ``g`` must be a fresh float64 array
     # that nothing else holds or will write to.  Products of 0-d operands
     # come back as numpy scalars and are boxed into 0-d arrays.
-    if not t.requires_grad:
+    if slot is None:
         return
-    if t.grad is None:
-        t.grad = g if isinstance(g, np.ndarray) else np.array(g)
+    if slot.grad is None:
+        slot.grad = g if isinstance(g, np.ndarray) else np.array(g)
     else:
-        t.grad += g
+        slot.grad += g
 
 
 def backward(output: Tensor, tape: Tape):
-    """Accumulate d(output)/d(leaf) into ``grad`` of every tracked tensor.
+    """Accumulate d(output)/d(leaf) into ``grad`` of every tracked leaf.
 
     ``output`` must be a scalar recorded on ``tape``.  Leaf grad buffers are
     not cleared first, so backward passes over separate tapes that share
-    parameters add up (gradient accumulation over a batch).
+    parameters add up (gradient accumulation over a batch), and a second
+    pass over one tape adds the same leaf gradients again.
 
-    Once a step's rule has run, the gradient of that step's output (``output``
-    included) is set back to ``None``: nothing later on the tape reads it, and
-    dropping it right away keeps peak memory to the gradients still in use.
-    Only tensors no step produced, the leaves, keep their ``grad``.
+    Each step's output gradient (``output``'s included) is taken out of its
+    slot before the step's rule runs: nothing later on the tape reads it,
+    and dropping it right away keeps peak memory to the gradients still in
+    use.  Only the leaves keep their ``grad``.
     """
     if output.data.shape != ():
         raise ShapeError(
             f"backward needs a scalar output, got shape {output.data.shape}"
         )
-    if output.grad is None:
-        output.grad = np.zeros((), dtype=np.float64)
-    output.grad += 1.0
+    seed = output if output.slot is None else output.slot
+    if seed.grad is None:
+        seed.grad = np.zeros((), dtype=np.float64)
+    seed.grad += 1.0
     for op in reversed(tape.ops):
-        if op.output.grad is not None:
-            op.backward_fn()
-            op.output.grad = None
+        slot = op.slot
+        g = slot.grad
+        if g is not None:
+            slot.grad = None
+            op.backward_fn(g)
 
 
 def _require_grad(*tensors) -> bool:
@@ -189,14 +231,14 @@ def _same_shape(name, a, b):
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors with identical shapes."""
     _same_shape("add", a, b)
+    sa, sb = _slot_of(a), _slot_of(b)
     out = Tensor(a.data + b.data, _require_grad(a, b))
 
-    def backward_fn():
-        # ``backward`` drops out.grad after this rule, so the first operand
-        # that needs it adopts it and only a second one gets a copy.
-        g = out.grad
-        _accumulate(a, g)
-        _accumulate(b, g.copy() if a.requires_grad and b.requires_grad else g)
+    def backward_fn(g):
+        # The first operand that needs ``g`` adopts it; only a second one
+        # gets a copy.
+        _accumulate(sa, g)
+        _accumulate(sb, g.copy() if sa is not None and sb is not None else g)
 
     return _record("add", out, backward_fn)
 
@@ -204,13 +246,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise difference, shapes must match."""
     _same_shape("sub", a, b)
+    sa, sb = _slot_of(a), _slot_of(b)
     out = Tensor(a.data - b.data, _require_grad(a, b))
 
-    def backward_fn():
-        g = out.grad
-        _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
+    def backward_fn(g):
+        _accumulate(sa, g)
+        if sb is not None:
+            _accumulate(sb, -g)
 
     return _record("sub", out, backward_fn)
 
@@ -218,14 +260,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product, shapes must match."""
     _same_shape("mul", a, b)
+    sa, sb = _slot_of(a), _slot_of(b)
+    a_data = a.data if sb is not None else None
+    b_data = b.data if sa is not None else None
     out = Tensor(a.data * b.data, _require_grad(a, b))
 
-    def backward_fn():
-        g = out.grad
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
+    def backward_fn(g):
+        if sa is not None:
+            _accumulate(sa, g * b_data)
+        if sb is not None:
+            _accumulate(sb, g * a_data)
 
     return _record("mul", out, backward_fn)
 
@@ -233,10 +277,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python constant (not differentiated through)."""
     c = float(c)
+    sa = _slot_of(a)
     out = Tensor(a.data * c, a.requires_grad)
 
-    def backward_fn():
-        _accumulate(a, out.grad * c)
+    def backward_fn(g):
+        _accumulate(sa, g * c)
 
     return _record("scale", out, backward_fn)
 
@@ -273,7 +318,8 @@ def matmul(
             f"{b.data.shape} rows {lo}:{hi}"
         )
     operands = (a, b)
-    product = a.data @ b.data[lo:hi]
+    block = b.data[lo:hi]
+    product = a.data @ block
     if bias is not None:
         if bias.data.shape != (b.data.shape[1],):
             raise ShapeError(
@@ -282,22 +328,26 @@ def matmul(
             )
         product += bias.data
         operands = (a, b, bias)
+    sa, sb = _slot_of(a), _slot_of(b)
+    s_bias = None if bias is None else _slot_of(bias)
+    a_data = a.data if sb is not None else None
+    b_block = block if sa is not None else None
+    b_shape = b.data.shape
     out = Tensor(product, _require_grad(*operands))
 
-    def backward_fn():
-        g = out.grad
-        if a.requires_grad:
-            _accumulate(a, g @ b.data[lo:hi].T)
-        if b.requires_grad:
-            gb = a.data.T @ g
+    def backward_fn(g):
+        if sa is not None:
+            _accumulate(sa, g @ b_block.T)
+        if sb is not None:
+            gb = a_data.T @ g
             if rows is None:
-                _accumulate(b, gb)
+                _accumulate(sb, gb)
             else:
-                if b.grad is None:
-                    b.grad = np.zeros(b.data.shape)
-                b.grad[lo:hi] += gb
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
+                if sb.grad is None:
+                    sb.grad = np.zeros(b_shape)
+                sb.grad[lo:hi] += gb
+        if s_bias is not None:
+            _accumulate(s_bias, g.sum(axis=0))
 
     return _record("matmul", out, backward_fn)
 
@@ -323,16 +373,17 @@ def gather(x: Tensor, index) -> Tensor:
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather index must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
+    n = x.data.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(
-            f"gather index out of range for {x.data.shape[0]} rows: "
-            f"[{idx.min()}, {idx.max()}]"
+            f"gather index out of range for {n} rows: [{idx.min()}, {idx.max()}]"
         )
+    sx = _slot_of(x)
     out = Tensor(x.data[idx], x.requires_grad)
 
-    def backward_fn():
+    def backward_fn(g):
         order = np.argsort(idx, kind="stable")
-        _accumulate(x, _ordered_segment_sum(out.grad, idx, order, x.data.shape[0]))
+        _accumulate(sx, _ordered_segment_sum(g, idx, order, n))
 
     return _record("gather", out, backward_fn)
 
@@ -366,10 +417,11 @@ def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
             f"segment id out of range [0, {num_segments}): "
             f"[{seg.min()}, {seg.max()}]"
         )
+    sx = _slot_of(x)
     out = Tensor(_segment_reduce(x.data, seg, num_segments), x.requires_grad)
 
-    def backward_fn():
-        _accumulate(x, out.grad[seg])
+    def backward_fn(g):
+        _accumulate(sx, g[seg])
 
     return _record("segment_sum", out, backward_fn)
 
@@ -378,39 +430,46 @@ def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x), the activation used throughout the model.
 
     The sigmoid is computed once as 1 / (1 + exp(-x)) and kept for
-    backward.  Below x of about -709, exp overflows to inf, which yields
-    the correct limit 0, so that overflow is not reported.
+    backward, with the output; the input is not kept.  Below x of about
+    -709, exp overflows to inf, which yields the correct limit 0, so that
+    overflow is not reported.
     """
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * s, x.requires_grad)
+    y = x.data * s
+    sx = _slot_of(x)
+    out = Tensor(y, x.requires_grad)
 
-    def backward_fn():
-        # d/dx x s(x) = s + x s (1 - s) = s + out (1 - s)
+    def backward_fn(g):
+        # d/dx x s(x) = s + x s (1 - s) = s + y (1 - s)
         d = 1.0 - s
-        d *= out.data
+        d *= y
         d += s
-        d *= out.grad
-        _accumulate(x, d)
+        d *= g
+        _accumulate(sx, d)
 
     return _record("swish", out, backward_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Reduce every element to one scalar by summation."""
+    shape = x.data.shape
+    sx = _slot_of(x)
     out = Tensor(x.data.sum(), x.requires_grad)
 
-    def backward_fn():
-        _accumulate(x, np.full(x.data.shape, out.grad))
+    def backward_fn(g):
+        _accumulate(sx, np.full(shape, g))
 
     return _record("sum_all", out, backward_fn)
 
 
 def abs_val(x: Tensor) -> Tensor:
     """Elementwise absolute value; subgradient 0 at exactly 0."""
-    out = Tensor(np.abs(x.data), x.requires_grad)
+    x_data = x.data
+    sx = _slot_of(x)
+    out = Tensor(np.abs(x_data), x.requires_grad)
 
-    def backward_fn():
-        _accumulate(x, out.grad * np.sign(x.data))
+    def backward_fn(g):
+        _accumulate(sx, g * np.sign(x_data))
 
     return _record("abs_val", out, backward_fn)

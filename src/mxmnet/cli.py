@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import resource
 import sys
 import time
 
@@ -281,6 +282,8 @@ def cmd_train(args) -> int:
         "n_parameters": result.params.n_scalars(),
         "checkpoint": ckpt,
         "wall_seconds": wall,
+        # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if stats is not None:
         summary["train_target_std"] = stats.std
@@ -658,7 +661,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as e:
+    except (
+        ConfigError,
+        FileNotFoundError,
+        KeyError,
+        ValueError,
+        FloatingPointError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -114,7 +114,8 @@ def parse_molecule(text: str, key: str | None = None) -> Molecule:
     """Parse one molecule from extended-xyz text.
 
     Raises :class:`ParseError` with the offending line number on any
-    malformed count, symbol, coordinate or bond.
+    malformed count, symbol, coordinate or bond, and on a non-finite
+    target value or coordinate.
     """
     lines = text.splitlines()
     if not lines:
@@ -139,6 +140,8 @@ def parse_molecule(text: str, key: str | None = None) -> Molecule:
             targets[k] = float(v)
         except ValueError:
             raise ParseError(2, f"value for {k!r} is not a float: {v!r}") from None
+        if not math.isfinite(targets[k]):
+            raise ParseError(2, f"value for {k!r} must be finite, got {v!r}")
 
     numbers = np.empty(n, dtype=np.int64)
     coords = np.empty((n, 3), dtype=np.float64)

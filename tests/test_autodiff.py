@@ -1,4 +1,7 @@
-"""Gradient, determinism and shape checks for the tape engine."""
+"""Gradient, determinism, shape and memory checks for the tape engine."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -417,7 +420,7 @@ def test_backward_frees_intermediate_grads():
         out = sum_all(mul(gather(h, [0, 2, 2]), gather(h, [1, 1, 3])))
     backward(out, tape)
     assert len(tape) == 6
-    assert all(op.output.grad is None for op in tape.ops)
+    assert all(op.slot.grad is None for op in tape.ops)
     first = (x.grad.copy(), w.grad.copy())
     backward(out, tape)  # nothing stale is left behind: a rerun adds the same again
     assert np.array_equal(x.grad, 2.0 * first[0])
@@ -437,3 +440,78 @@ def test_leaf_grads_own_their_buffers():
     assert g.flags.writeable
     (g,) = _grad_of(lambda: scale(sum_all(x), 3.0), [x])
     assert np.array_equal(g, np.full((2, 3), 4.0))
+
+
+def test_matmul_output_is_freed_during_forward():
+    # No rule reads a matmul's output, so once the caller drops the tensor
+    # its array is gone before backward runs.
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        h = matmul(x, w)
+        ref = weakref.ref(h.data)
+        out = sum_all(swish(h))
+    del h
+    assert ref() is None
+    backward(out, tape)
+    z = x.data @ w.data
+    s = 1.0 / (1.0 + np.exp(-z))
+    assert np.allclose(w.grad, x.data.T @ (s + z * s * (1.0 - s)), rtol=1e-12)
+
+
+def test_swish_output_lives_until_backward():
+    # swish's rule reads its own output, so the tape keeps that array.
+    x = Tensor(np.array([[0.5, -1.0]]), requires_grad=True)
+    with Tape() as tape:
+        y = swish(x)
+        ref = weakref.ref(y.data)
+        out = sum_all(y)
+    del y
+    assert ref() is not None
+    backward(out, tape)
+    del tape
+    assert ref() is None
+
+
+def test_held_output_does_not_pin_the_graph():
+    # The final output outlives its tape (training keeps the loss to read
+    # it); its slot must not reach the rules, or every array they read
+    # would stay alive with it.
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        h = swish(matmul(x, w))
+        ref = weakref.ref(h.data)
+        out = scale(sum_all(h), 0.5)
+    del h
+    backward(out, tape)
+    assert ref() is not None
+    del tape
+    assert ref() is None
+    assert out.item() == 0.5 * float(np.sum(swish(Tensor(x.data @ w.data)).data))
+
+
+def test_tensors_are_freed_without_the_cycle_collector():
+    # Untaped forwards (evaluation) and leaves rely on reference counting
+    # alone: no tensor may sit in a reference cycle, or its array would
+    # wait for the cyclic collector.
+    rng = np.random.default_rng(23)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    gc.disable()
+    try:
+        leaf = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        untaped = swish(matmul(leaf, w))
+        refs = [weakref.ref(leaf.data), weakref.ref(untaped.data)]
+        del leaf, untaped
+        assert all(r() is None for r in refs)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = sum_all(swish(matmul(x, w)))
+        backward(out, tape)
+        refs = [weakref.ref(x.data), weakref.ref(x.grad)]
+        del x, tape, out
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()

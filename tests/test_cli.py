@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +162,7 @@ def test_train_writes_expected_outputs(tmp_path, capsys):
     assert summary["n_parameters"] == init_params(mcfg, 0).n_scalars()
     assert os.path.exists(summary["checkpoint"])
     assert summary["train_target_std"] > 0
+    assert math.isfinite(summary["peak_rss_mb"]) and summary["peak_rss_mb"] > 0
 
 
 def test_train_flag_overrides_beat_config(tmp_path):
@@ -178,6 +180,19 @@ def test_train_rejects_bad_target_before_writing(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = _train_cfg_file(tmp_path, manifest, out, target="zzz")
     assert cli.main(["train", "--config", cfg]) == 2
+    assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_fails_cleanly(tmp_path, capsys):
+    manifest = _overfit_manifest(tmp_path)
+    out = tmp_path / "run"
+    cfg = _train_cfg_file(tmp_path, manifest, out, epochs=5, batch_group=1)
+    assert cli.main(["train", "--config", cfg, "--lr", "1e150"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+    assert len(errors) == 1 and "non-finite" in errors[0]
     assert not (out / "model.ckpt").exists()
 
 

@@ -68,6 +68,14 @@ def test_parse_reports_line_numbers():
     assert e.value.line == 3
 
 
+def test_parse_rejects_non_finite_targets():
+    for v in ("nan", "inf", "-inf", "NaN"):
+        with pytest.raises(ParseError) as e:
+            parse_molecule(f"1\nu0=1 gap={v}\nH 0 0 0\n")
+        assert e.value.line == 2
+        assert "gap" in str(e.value)
+
+
 def test_parse_rejects_short_files_and_bad_bonds():
     with pytest.raises(ParseError):
         parse_molecule("3\nu0=1\nH 0 0 0\nH 1 0 0\n")
