@@ -36,9 +36,10 @@ Design constraints honoured here:
   read a row block of its right operand, so a layer on concatenated
   features can run per part; ``swish`` keeps its sigmoid for backward
   instead of recomputing it;
-* ``segment_sum`` adds rows per segment in a canonical order (sorted by raw
-  row bytes within each segment), so permuting its input rows returns a
-  bit-identical result;
+* ``gather`` and ``segment_sum`` are exact transposes: ``gather``'s
+  backward and ``segment_sum``'s forward are one scatter-sum, which adds
+  each bucket's rows in input order (deterministic for a given input, not
+  under a permutation of the rows);
 * the active tape is thread local: independent tapes on separate threads do
   not interfere.
 """
@@ -352,73 +353,61 @@ def matmul(
     return _record("matmul", out, backward_fn)
 
 
-def _ordered_segment_sum(data, segments, order, num):
-    """Sum rows of ``data`` into ``num`` buckets by ``segments``.
+def _index(op, index, num, rows=None):
+    """``index`` as a 1-d int64 array of ids in ``[0, num)``, of length
+    ``rows`` when given."""
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.ndim != 1 or (rows is not None and idx.shape[0] != rows):
+        want = "1-d" if rows is None else f"1-d of length {rows}"
+        raise ShapeError(f"{op}: index must be {want}, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= num):
+        raise IndexError(
+            f"{op}: index out of range [0, {num}): [{idx.min()}, {idx.max()}]"
+        )
+    return idx
 
-    ``order`` must sort ``segments`` ascending; each bucket adds its rows in
-    that order.  Empty buckets come out as zero rows.
+
+def _scatter_sum(data, index, num):
+    """Sum rows of ``data`` into ``num`` buckets by ``index``.
+
+    Each bucket adds its rows in input order; empty buckets come out as
+    zero rows.  Ascending ``index`` (every model caller's) sorts in O(n).
     """
     out = np.zeros((num,) + data.shape[1:], dtype=np.float64)
-    if order.size:
-        keys = segments[order]
+    if index.size:
+        order = np.argsort(index, kind="stable")
+        keys = index[order]
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         out[keys[starts]] = np.add.reduceat(data[order], starts, axis=0)
     return out
 
 
 def gather(x: Tensor, index) -> Tensor:
-    """Select rows of a 2-d tensor; repeated indices scatter-add on backward."""
+    """Select rows of a 2-d tensor; backward is :func:`segment_sum`'s sum."""
     if x.data.ndim != 2:
         raise ShapeError(f"gather needs a 2-d tensor, got shape {x.data.shape}")
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather index must be 1-d, got shape {idx.shape}")
     n = x.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(
-            f"gather index out of range for {n} rows: [{idx.min()}, {idx.max()}]"
-        )
+    idx = _index("gather", index, n)
     sx = _slot_of(x)
     out = Tensor(x.data[idx], x.requires_grad)
 
     def backward_fn(g):
-        order = np.argsort(idx, kind="stable")
-        _accumulate(sx, _ordered_segment_sum(g, idx, order, n))
+        _accumulate(sx, _scatter_sum(g, idx, n))
 
     return _record("gather", out, backward_fn)
 
 
-def _segment_reduce(data: np.ndarray, segments: np.ndarray, num: int) -> np.ndarray:
-    if data.shape[0] == 0:
-        return np.zeros((num,) + data.shape[1:], dtype=np.float64)
-    # Canonical within-segment order: sort rows by raw bytes so the sum is
-    # bit-identical under any permutation of the input rows.
-    rows = np.ascontiguousarray(data.reshape(data.shape[0], -1))
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    order = order[np.argsort(segments[order], kind="stable")]
-    return _ordered_segment_sum(data, segments, order, num)
-
-
 def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
-    """Sum rows of ``x`` into ``num_segments`` buckets.
+    """Sum rows of ``x`` into ``num_segments`` buckets, the transpose of
+    :func:`gather`.
 
-    Empty buckets come out as zero rows.  Accumulation order inside a bucket
-    is canonical (row-byte order), making the result independent of the
-    order the rows arrive in, bit for bit.
+    Empty buckets come out as zero rows.  Each bucket adds its rows in
+    input order, so the result is deterministic for a given input, and
+    bit-identical to the gradient ``gather(_, segments)`` sends back.
     """
-    seg = np.asarray(segments, dtype=np.int64)
-    if seg.ndim != 1 or seg.shape[0] != x.data.shape[0]:
-        raise ShapeError(
-            f"segment_sum: {seg.shape} segment ids for {x.data.shape[0]} rows"
-        )
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise IndexError(
-            f"segment id out of range [0, {num_segments}): "
-            f"[{seg.min()}, {seg.max()}]"
-        )
+    seg = _index("segment_sum", segments, num_segments, x.data.shape[0])
     sx = _slot_of(x)
-    out = Tensor(_segment_reduce(x.data, seg, num_segments), x.requires_grad)
+    out = Tensor(_scatter_sum(x.data, seg, num_segments), x.requires_grad)
 
     def backward_fn(g):
         _accumulate(sx, g[seg])

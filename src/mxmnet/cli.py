@@ -259,6 +259,17 @@ def _write_triple_csv(path, feats, two_hop: bool):
             w.writerow([int(v) for v in idx[r]] + [_fmt(v) for v in mat[r]])
 
 
+def _fp_checked():
+    """Silence numpy's overflow and invalid-value warnings.
+
+    A diverging run overflows inside the model before any check sees it.
+    Every non-finite value is then caught by a named check (the loss,
+    Adam's gradient and the prediction checks) and reported as one
+    ``error:`` line, so numpy's warnings would only print ahead of it.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def cmd_train(args) -> int:
     cfg = _settings(args)
     ds = _load_split(cfg)
@@ -266,12 +277,13 @@ def cmd_train(args) -> int:
     tcfg = _train_config(cfg)
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    result = train(ds, mcfg, tcfg)
+    with _fp_checked():
+        result = train(ds, mcfg, tcfg)
     wall = time.perf_counter() - t0
     ckpt = os.path.join(out, "model.ckpt")
     save_checkpoint(result.params, ckpt)
     result.report.to_csv(os.path.join(out, "report.csv"))
-    stats = target_stats(ds, tcfg.target) if not tcfg.atomrefs else None
+    stats = target_stats(ds, tcfg.target, tcfg.atomrefs)
     summary = {
         "target": tcfg.target,
         "seed": tcfg.seed,
@@ -284,9 +296,8 @@ def cmd_train(args) -> int:
         "wall_seconds": wall,
         # Linux reports ru_maxrss in KiB.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "train_target_std": stats.std,
     }
-    if stats is not None:
-        summary["train_target_std"] = stats.std
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -300,20 +311,6 @@ def cmd_train(args) -> int:
 
 def _none_if_nan(x: float):
     return None if isinstance(x, float) and math.isnan(x) else x
-
-
-def _train_sigma(ds: Dataset, tcfg: TrainConfig) -> float | None:
-    """Population std of the (possibly atom-referenced) train targets."""
-    from .data import subtract_atomrefs
-
-    if tcfg.atomrefs is None:
-        stats = target_stats(ds, tcfg.target)
-        return None if stats.degenerate else stats.std
-    vals = np.array(
-        [subtract_atomrefs(m, tcfg.target, tcfg.atomrefs) for m in ds.subset("train")]
-    )
-    sigma = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
-    return None if sigma == 0.0 else sigma
 
 
 def cmd_eval(args) -> int:
@@ -330,8 +327,10 @@ def cmd_eval(args) -> int:
     if not mols:
         raise ConfigError(f"split {args.split!r} is empty")
     prepared = prepare_all(mols, mcfg)
-    preds, truth = evaluate(params, mols, prepared, mcfg, tcfg)
-    met = compute_metrics(preds, truth, _train_sigma(ds, tcfg))
+    with _fp_checked():
+        preds, truth = evaluate(params, mols, prepared, mcfg, tcfg)
+    stats = target_stats(ds, tcfg.target, tcfg.atomrefs)
+    met = compute_metrics(preds, truth, None if stats.degenerate else stats.std)
     print(
         json.dumps(
             {

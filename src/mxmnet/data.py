@@ -305,15 +305,14 @@ class TargetStats:
     degenerate: bool  # std == 0, normalized metrics are undefined
 
 
-def target_stats(ds: Dataset, prop: str) -> TargetStats:
-    """Mean and population std of a target over the training split."""
+def target_stats(
+    ds: Dataset, prop: str, atomrefs: dict[int, float] | None = None
+) -> TargetStats:
+    """Mean and population std of a target over the training split, of
+    the atom-referenced target when ``atomrefs`` is given."""
     if ds.split is None:
         raise ValueError("dataset has no split; call split_dataset first")
-    vals = []
-    for m in ds.subset("train"):
-        if prop not in m.targets:
-            raise KeyError(f"molecule {m.key!r} has no target {prop!r}")
-        vals.append(m.targets[prop])
+    vals = [subtract_atomrefs(m, prop, atomrefs) for m in ds.subset("train")]
     if not vals:
         raise ValueError("training split is empty")
     arr = np.asarray(vals, dtype=np.float64)
@@ -335,26 +334,32 @@ def load_atomrefs(path) -> dict[int, float]:
                 raise ParseError(num, f"expected 'symbol value', got {line!r}")
             try:
                 z = elements.atomic_number(parts[0])
-                refs[z] = float(parts[1])
+                value = float(parts[1])
             except ValueError as e:
                 raise ParseError(num, str(e)) from None
+            if not math.isfinite(value):
+                raise ParseError(num, f"non-finite reference energy {parts[1]!r}")
+            refs[z] = value
     return refs
 
 
-def subtract_atomrefs(m: Molecule, prop: str, refs: dict[int, float]) -> float:
-    """Target value minus the summed per-atom reference contributions."""
+def subtract_atomrefs(m: Molecule, prop: str, refs: dict[int, float] | None) -> float:
+    """Target value minus the summed per-atom reference contributions; the
+    plain target when ``refs`` is ``None``."""
     if prop not in m.targets:
         raise KeyError(f"molecule {m.key!r} has no target {prop!r}")
-    total = 0.0
-    for z in m.atomic_numbers:
-        z = int(z)
-        if z not in refs:
-            raise ValueError(
-                f"no atom reference for element {elements.symbol(z)} "
-                f"in molecule {m.key!r}"
-            )
-        total += refs[z]
-    value = m.targets[prop] - total
+    value = m.targets[prop]
+    if refs is not None:
+        total = 0.0
+        for z in m.atomic_numbers:
+            z = int(z)
+            if z not in refs:
+                raise ValueError(
+                    f"no atom reference for element {elements.symbol(z)} "
+                    f"in molecule {m.key!r}"
+                )
+            total += refs[z]
+        value -= total
     if not math.isfinite(value):
-        raise ValueError(f"non-finite referenced target for {m.key!r}")
+        raise ValueError(f"non-finite target for {m.key!r}")
     return value

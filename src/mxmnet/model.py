@@ -68,42 +68,35 @@ _CKPT_VERSION = 1
 class ModelConfig:
     """Architecture and graph-construction settings.
 
-    Basis sizes are pinned to the embedding module's constants; dimensions
-    must be positive.  ``local_first`` flips the within-block order so the
-    local layer updates before the global one (needs one extra init map).
+    Basis sizes are the :mod:`mxmnet.basis` constants and the embedding
+    table has a row per element up to :data:`mxmnet.elements.MAX_Z`;
+    dimensions must be positive and cutoffs finite and positive.
+    ``local_first`` flips the within-block order so the local layer updates
+    before the global one (needs one extra init map).
     ``global_excludes_local`` drops local pairs from the global layer.
     """
 
     hidden_dim: int = 128
     n_layers: int = 6
     n_residuals: int = 2
-    n_rbf: int = N_RBF
-    n_shbf: int = N_SHBF
-    n_srbf: int = N_SRBF
     local_rule: str = "bonds"
     local_cutoff: float = 2.0
     global_cutoff: float = 5.0
     local_first: bool = False
     global_excludes_local: bool = False
-    max_z: int = elements.MAX_Z
 
     def __post_init__(self):
-        for name in ("hidden_dim", "n_layers", "n_residuals", "max_z"):
+        for name in ("hidden_dim", "n_layers", "n_residuals"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive")
-        if (self.n_rbf, self.n_shbf, self.n_srbf) != (N_RBF, N_SHBF, N_SRBF):
-            raise ValueError(
-                f"basis sizes are fixed at ({N_RBF}, {N_SHBF}, {N_SRBF}), "
-                f"got ({self.n_rbf}, {self.n_shbf}, {self.n_srbf})"
-            )
         if self.local_rule not in ("bonds", "cutoff"):
             raise ValueError(f"unknown local rule {self.local_rule!r}")
-        if self.global_cutoff <= 0 or self.local_cutoff <= 0:
-            raise ValueError("cutoffs must be positive")
+        for name in ("local_cutoff", "global_cutoff"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.local_rule == "cutoff" and self.local_cutoff >= self.global_cutoff:
             raise ValueError("local cutoff must be below the global cutoff")
-        if self.max_z > elements.MAX_Z:
-            raise ValueError(f"max_z cannot exceed {elements.MAX_Z}")
 
 
 class ParamStore:
@@ -177,7 +170,7 @@ def _residuals_layout(prefix, dim, n_res):
 def _param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
     """Every parameter as (name, shape, init bound), in creation order."""
     f = cfg.hidden_dim
-    layout = [("embed/table", (cfg.max_z, f), math.sqrt(3.0))]
+    layout = [("embed/table", (elements.MAX_Z, f), math.sqrt(3.0))]
     if cfg.local_first:
         layout += _mlp_layout("cross_init", f, f, f)
     cat = 2 * f + N_RBF
@@ -409,8 +402,8 @@ def forward(
     if feats is None:
         _, feats = prepare_inputs(m, cfg)
     z = m.atomic_numbers
-    if z.min() < 1 or z.max() > cfg.max_z:
-        bad = int(z[(z < 1) | (z > cfg.max_z)][0])
+    if z.min() < 1 or z.max() > elements.MAX_Z:
+        bad = int(z[(z < 1) | (z > elements.MAX_Z)][0])
         raise ValueError(f"atomic number {bad} outside the embedding range")
 
     rbf_g = Tensor(feats.rbf_global)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Tensor, abs_val, backward, mul, scale, sub
-from .data import Dataset, Molecule, subtract_atomrefs
+from .data import Dataset, subtract_atomrefs
 from .model import ModelConfig, ParamStore, forward, init_params, prepare_inputs
 
 __all__ = [
@@ -229,14 +229,6 @@ class TrainResult:
     params: ParamStore  # best-validation EMA weights (final EMA if no val)
 
 
-def _target_value(m: Molecule, cfg: TrainConfig) -> float:
-    if cfg.atomrefs is not None:
-        return subtract_atomrefs(m, cfg.target, cfg.atomrefs)
-    if cfg.target not in m.targets:
-        raise KeyError(f"molecule {m.key!r} has no target {cfg.target!r}")
-    return m.targets[cfg.target]
-
-
 def evaluate(
     params: ParamStore,
     molecules,
@@ -244,12 +236,18 @@ def evaluate(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
 ):
-    """Predictions and truths over a molecule list, no tape, fixed weights."""
+    """Predictions and truths over a molecule list, no tape, fixed weights.
+
+    A non-finite prediction raises ``FloatingPointError`` naming the
+    molecule.
+    """
     preds = np.empty(len(molecules), dtype=np.float64)
     truth = np.empty(len(molecules), dtype=np.float64)
     for k, (m, (_, feats)) in enumerate(zip(molecules, prepared)):
         preds[k] = forward(m, params, model_cfg, feats=feats).item()
-        truth[k] = _target_value(m, train_cfg)
+        if not math.isfinite(preds[k]):
+            raise FloatingPointError(f"non-finite prediction for molecule {m.key!r}")
+        truth[k] = subtract_atomrefs(m, train_cfg.target, train_cfg.atomrefs)
     return preds, truth
 
 
@@ -268,8 +266,11 @@ def train(
     val_mols = ds.subset("val")
     if not train_mols:
         raise ValueError("training split is empty")
-    for m in train_mols + val_mols:
-        _target_value(m, train_cfg)  # fail fast on a bad target name
+    # Fail fast on a bad target name, before any featurization.
+    target, refs = train_cfg.target, train_cfg.atomrefs
+    truths = [subtract_atomrefs(m, target, refs) for m in train_mols]
+    for m in val_mols:
+        subtract_atomrefs(m, target, refs)
 
     params = init_params(model_cfg, train_cfg.seed)
     state = AdamState(params)
@@ -277,7 +278,6 @@ def train(
 
     train_prep = prepare_all(train_mols, model_cfg)
     val_prep = prepare_all(val_mols, model_cfg)
-    truths = [_target_value(m, train_cfg) for m in train_mols]
 
     n = len(train_mols)
     group = min(train_cfg.batch_group, n)

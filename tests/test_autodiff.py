@@ -263,17 +263,31 @@ def test_segment_sum_empty_segments_are_zero():
     assert np.array_equal(out.data[0], np.full(2, 2.0))
 
 
-def test_segment_sum_row_order_is_bit_identical():
-    # Summation must not depend on how the incoming rows are ordered.
+def test_segment_sum_is_the_transpose_of_gather():
+    # segment_sum's forward and gather's backward are one scatter-sum, so
+    # for upstream w they agree bit for bit.
     rng = np.random.default_rng(10)
-    for trial in range(20):
-        n = int(rng.integers(2, 40))
-        x = rng.standard_normal((n, 5))
-        seg = rng.integers(0, 7, size=n)
-        base = segment_sum(Tensor(x), seg, 7).data.tobytes()
-        perm = rng.permutation(n)
-        shuffled = segment_sum(Tensor(x[perm]), seg[perm], 7).data.tobytes()
-        assert base == shuffled
+    n, k = 7, 5
+    cases = [np.array([], dtype=np.int64), np.array([3, 3, 3]), np.array([6, 0])]
+    cases += [np.sort(rng.integers(0, n, size=int(rng.integers(1, 60)))) for _ in range(20)]
+    cases += [rng.integers(0, n, size=int(rng.integers(1, 60))) for _ in range(20)]
+    for idx in cases:
+        w = rng.standard_normal((idx.size, k)) * 10.0 ** rng.integers(-3, 4, size=(idx.size, 1))
+        x = Tensor(rng.standard_normal((n, k)), requires_grad=True)
+        (g,) = _grad_of(lambda: sum_all(mul(gather(x, idx), Tensor(w))), [x])
+        got = segment_sum(Tensor(w), idx, n).data
+        assert got.tobytes() == g.tobytes()
+
+
+def test_gather_and_segment_sum_check_their_index():
+    x = Tensor(np.ones((4, 2)))
+    for bad, err in (([[0, 1]], ShapeError), ([0, 4], IndexError), ([-1], IndexError)):
+        with pytest.raises(err):
+            gather(x, bad)
+        with pytest.raises(err):
+            segment_sum(Tensor(np.ones((len(bad), 2))), bad, 4)
+    with pytest.raises(ShapeError):
+        segment_sum(x, [0, 1, 2], 4)  # one id short of the rows
 
 
 def test_segment_sum_grad_matches_fd():

@@ -12,7 +12,14 @@ import pytest
 
 from mxmnet import cli, fixtures
 from mxmnet.cli import ConfigError, parse_config, run_bench
-from mxmnet.data import load_molecule, save_molecule
+from mxmnet.data import (
+    load_atomrefs,
+    load_manifest,
+    load_molecule,
+    save_molecule,
+    split_dataset,
+    target_stats,
+)
 from mxmnet.graph import count_angles, enumerate_angle_triples, neighbor_search
 from mxmnet.model import ModelConfig, init_params, save_checkpoint
 
@@ -196,6 +203,31 @@ def test_train_divergence_fails_cleanly(tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+def test_diverging_train_prints_only_its_error_line(tmp_path):
+    # Default split fractions leave 8 molecules no validation split, so the
+    # only forward after the last (diverging) Adam step is the final
+    # train-error pass.  A subprocess, since pytest would capture numpy's
+    # overflow warnings.
+    manifest = _overfit_manifest(tmp_path)
+    out = tmp_path / "run"
+    cfg = _write_config(
+        tmp_path / "train.cfg", manifest=manifest, target="u0", residuals=1, out=out
+    )
+    flags = ["--hidden", "8", "--layers", "1", "--epochs", "2", "--lr", "1e150"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mxmnet.cli", "train", "--config", cfg, *flags],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: non-finite prediction for molecule ")
+    assert not (out / "model.ckpt").exists()
+
+
 def test_train_reports_differ_by_seed(tmp_path):
     manifest = _overfit_manifest(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -243,6 +275,25 @@ def test_eval_matches_reported_train_error(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == first
 
 
+def test_train_and_eval_share_the_atom_referenced_target_std(tmp_path, capsys):
+    manifest = _overfit_manifest(tmp_path)
+    refs_path = tmp_path / "refs.txt"
+    refs_path.write_text("H -0.5\nC -38.0\nN -54.6\nO -75.1\nF -99.7\n")
+    out = tmp_path / "run"
+    cfg = _train_cfg_file(tmp_path, manifest, out, atomrefs=refs_path)
+    assert cli.main(["train", "--config", cfg]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    ds = split_dataset(load_manifest(manifest), (0.75, 0.25, 0.0), 0)
+    std = target_stats(ds, "u0", load_atomrefs(refs_path)).std
+    assert summary["train_target_std"] == std
+    capsys.readouterr()
+
+    args = ["eval", "--config", cfg, "--checkpoint", summary["checkpoint"], "--split", "train"]
+    assert cli.main(args) == 0
+    met = json.loads(capsys.readouterr().out)
+    assert met["std_mae"] == met["mae"] / std
+
+
 def test_eval_missing_checkpoint_fails(tmp_path, capsys):
     manifest = _overfit_manifest(tmp_path)
     cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run")
@@ -251,6 +302,19 @@ def test_eval_missing_checkpoint_fails(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--dl", "nan"], ["--dg", "inf"]])
+def test_eval_rejects_non_finite_cutoffs(tmp_path, capsys, flags):
+    manifest = _overfit_manifest(tmp_path)
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", test_frac=0.25, val_frac=0.0)
+    ckpt = str(tmp_path / "one.ckpt")
+    save_checkpoint(init_params(ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)), ckpt)
+    assert cli.main(["eval", "--config", cfg, "--checkpoint", ckpt, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cutoff must be finite" in err
 
 
 @pytest.mark.parametrize(

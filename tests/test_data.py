@@ -227,6 +227,18 @@ def test_target_stats_missing_target_fails():
         target_stats(ds, "u0")
 
 
+def test_target_stats_of_atom_referenced_targets():
+    mols = _keyed_set(20, seed=4)
+    refs = {z: -0.25 * z for z in range(1, 55)}
+    ds = split_dataset(Dataset(mols), (0.5, 0.25, 0.25), seed=1)
+    vals = np.array([subtract_atomrefs(m, "u0", refs) for m in ds.subset("train")])
+    stats = target_stats(ds, "u0", refs)
+    assert stats.n == vals.size == 10
+    assert stats.mean == float(vals.mean())
+    assert stats.std == float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
+    assert target_stats(ds, "u0", None) == target_stats(ds, "u0")
+
+
 def test_atomref_subtraction():
     h2 = fixtures.dihydrogen()
     assert h2.targets["u0"] == -1.17
@@ -254,3 +266,8 @@ def test_load_atomrefs(tmp_path):
     bad.write_text("H notafloat\n")
     with pytest.raises(ValueError):
         load_atomrefs(bad)
+    for value in ("nan", "inf", "-inf"):
+        bad.write_text(f"H -0.5\nO {value}\n")
+        with pytest.raises(ParseError) as e:
+            load_atomrefs(bad)
+        assert e.value.line == 2

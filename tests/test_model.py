@@ -1,5 +1,7 @@
 """Model wiring: parameter init, block behavior, invariances, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -54,12 +56,16 @@ def test_config_validation():
         ModelConfig(hidden_dim=0)
     with pytest.raises(ValueError):
         ModelConfig(n_layers=0)
-    with pytest.raises(ValueError):
-        ModelConfig(n_rbf=8)
+    with pytest.raises(TypeError):
+        ModelConfig(n_rbf=8)  # basis sizes are the basis module's constants
     with pytest.raises(ValueError):
         ModelConfig(local_rule="nope")
     with pytest.raises(ValueError):
         ModelConfig(local_cutoff=-1.0)
+    for key in ("local_cutoff", "global_cutoff"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=key):
+                ModelConfig(**{key: value})
 
 
 def test_init_is_deterministic():
