@@ -13,8 +13,16 @@ them against independent library oracles.  Both recurrences take an array
 of degrees, so the spherical basis evaluates all 42 radial columns of an
 edge in one upward Bessel recurrence (with an ascending series where the
 argument is below the degree) and all 7 angular degrees of a triple in one
-Legendre recurrence.  The radial part depends on the edge length only, so
-it is computed once per local edge and gathered onto the triples.
+Legendre recurrence.  The Bessel recurrence takes each sine and cosine
+once.
+
+:func:`featurize` computes each value once.  The radial basis and the
+radial part of the spherical basis depend on the edge length only, and an
+edge and its reverse have the same length to the bit, so both are computed
+once per undirected pair and gathered onto the directed edges and the
+triples.  The one-hop triples list the same angles as the two-hop triples,
+so the angles and the spherical basis are computed for the two-hop family
+and the one-hop rows are a permutation of them.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import Molecule
-from .graph import MultiplexGraph, enumerate_angle_triples
+from .graph import MultiplexGraph, enumerate_angle_triples, one_hop_rows, reverse_edges
 
 __all__ = [
     "N_RBF",
@@ -77,17 +85,21 @@ def _double_factorial(n: int) -> float:
 def _jl_upward(l: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Stable for x >= l.  j0 and j1 are closed-form; one recurrence climbs
     # to the largest degree and each element keeps the value at its own.
-    # A degree-0 element may sit where x * x underflows; its j1 and above
-    # are never read, so their overflow is silenced.
-    j_prev = np.sin(x) / x
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        j_cur = np.sin(x) / (x * x) - np.cos(x) / x
-        out = np.where(l == 0, j_prev, j_cur)
-        for n in range(1, int(l.max())):
-            j_prev, j_cur = j_cur, (2 * n + 1) / x * j_cur - j_prev
-            at = l == n + 1
-            out[at] = j_cur[at]
+    # ``l`` broadcasts against ``x``.  Elements below their degree, x = 0
+    # among them, may overflow here; the caller replaces their values and
+    # silences the warnings.  So it does for a degree-0 element where x * x
+    # underflows: its j1 and above are never read.
+    sin = np.sin(x)
+    j_prev = sin / x
+    j_cur = sin / (x * x) - np.cos(x) / x
+    out = np.where(l == 0, j_prev, j_cur)
+    for n in range(1, int(l.max())):
+        j_prev, j_cur = j_cur, (2 * n + 1) / x * j_cur - j_prev
+        out = np.where(l == n + 1, j_cur, out)
     return out
+
+
+_SERIES_TEST_EVERY = 4
 
 
 def _jl_series(l: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -96,7 +108,8 @@ def _jl_series(l: np.ndarray, x: np.ndarray) -> np.ndarray:
     # runs until every element's own term is below 1e-18 of its own total;
     # from there on its terms only shrink and each is under half an ulp of
     # the total, so later passes leave it unchanged and no element's value
-    # depends on the others.
+    # depends on the others.  For the same reason the test runs only every
+    # few passes: the passes it lets through add nothing.
     # The first term takes x ** d per degree with a Python int d: numpy
     # squares for d = 2, while an array of exponents calls pow(x, 2.0),
     # which differs in the last bit for about 5% of x.
@@ -106,11 +119,14 @@ def _jl_series(l: np.ndarray, x: np.ndarray) -> np.ndarray:
         term[at] = x[at] ** int(d) / _double_factorial(2 * int(d) + 1)
     total = term.copy()
     step = -(x * x) / 2.0
-    odd = 2 * l + 1
+    passes = np.arange(1, 80)[:, None]
+    divisor = passes * (2 * l + 1 + 2 * passes)
     for m in range(1, 80):
-        term = term * step / (m * (odd + 2 * m))
+        term = term * step / divisor[m - 1]
         total += term
-        if (np.abs(term) < 1e-18 * np.maximum(np.abs(total), 1e-300)).all():
+        if m % _SERIES_TEST_EVERY == 0 and (
+            np.abs(term) < 1e-18 * np.maximum(np.abs(total), 1e-300)
+        ).all():
             break
     return total
 
@@ -129,15 +145,17 @@ def spherical_jl(l, x) -> np.ndarray:
     scalar = arr.ndim == 0 and deg.ndim == 0
     if np.any(arr < 0):
         raise ValueError("argument must be non-negative")
-    deg, arr = np.broadcast_arrays(np.atleast_1d(deg), np.atleast_1d(arr))
-    zero = arr == 0.0
-    out = np.where(zero & (deg == 0), 1.0, 0.0)
-    hi = ~zero & (arr >= deg)
-    lo = ~zero & ~hi
-    if hi.any():
-        out[hi] = _jl_upward(deg[hi], arr[hi])
+    deg, arr = np.atleast_1d(deg), np.atleast_1d(arr)
+    # Every element takes the upward recurrence; those below their degree,
+    # x = 0 included, then take the series instead, which is exactly 0 at
+    # x = 0.  j_0(0) = 1 is the one limit set by hand.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _jl_upward(deg, arr)
+    lo = arr < deg
     if lo.any():
-        out[lo] = _jl_series(deg[lo], arr[lo])
+        deg_lo = np.broadcast_to(deg, lo.shape)[lo]
+        out[lo] = _jl_series(deg_lo, np.broadcast_to(arr, lo.shape)[lo])
+    out[(arr == 0.0) & (deg == 0)] = 1.0
     return float(out[0]) if scalar else out
 
 
@@ -324,32 +342,46 @@ def _edge_lengths(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.linalg.norm(delta, axis=1)
 
 
+def _pair_lengths(coords: np.ndarray, edges: np.ndarray, reverse: np.ndarray):
+    """Length of each undirected pair once, and each edge's row among them.
+
+    An edge and its reverse have the same length to the bit (their
+    difference vectors are exact negatives), so whatever is a function of
+    the length is computed once per pair and gathered onto both edges.
+    """
+    first = np.arange(reverse.size) < reverse
+    rank = np.cumsum(first) - 1
+    return _edge_lengths(coords, edges[first]), np.where(first, rank, rank[reverse])
+
+
 def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricFeatures:
     """Distances, angles and basis embeddings for one molecule's graph.
 
     The local layer's radial and spherical embeddings use ``local_cutoff``
     as envelope scale, the global layer uses the graph's own cutoff.  Purely
     geometric: depends on inter-atom distances and angles only, never on
-    absolute positions.  The spherical basis takes the local edge lengths
-    and each triple's ``*_hop_edge`` index, so its radial part is computed
-    once per local edge for both triple families and gathered per triple.
+    absolute positions.  Lengths and both radial parts are computed once per
+    undirected pair.  Angles and the spherical basis are computed for the
+    two-hop triples only: every one-hop row is a two-hop row (the same
+    triple), so ``sbf_one`` is ``sbf_two`` permuted, bit for bit.
     """
     triples = enumerate_angle_triples(g)
     coords = m.coords
-    d_local = _edge_lengths(coords, g.local_edges)
-    d_global = _edge_lengths(coords, g.global_edges)
-    rbf_local = radial_basis(d_local, local_cutoff)
-    rbf_global = radial_basis(d_global, g.global_cutoff)
-    # Both triple families sit on the local edges: one call computes the
-    # radial part once per edge and serves them both.
-    t = np.concatenate([triples.two_hop, triples.one_hop])
-    sbf = spherical_basis(
+    local_reverse = reverse_edges(g.local_edges, g.n_nodes)
+    d_local, local_pair = _pair_lengths(coords, g.local_edges, local_reverse)
+    d_global, global_pair = _pair_lengths(
+        coords, g.global_edges, reverse_edges(g.global_edges, g.n_nodes)
+    )
+    rbf_local = radial_basis(d_local, local_cutoff)[local_pair]
+    rbf_global = radial_basis(d_global, g.global_cutoff)[global_pair]
+    t = triples.two_hop
+    sbf_two = spherical_basis(
         d_local,
         angle_between(coords[t[:, 1]], coords[t[:, 0]], coords[t[:, 2]]),
         local_cutoff,
-        edge=np.concatenate([triples.two_hop_edge, triples.one_hop_edge]),
+        edge=local_pair[triples.two_hop_edge],
     )
-    sbf_two, sbf_one = np.split(sbf, [triples.two_hop.shape[0]])
+    sbf_one = sbf_two[one_hop_rows(triples, local_reverse)]
 
     return GeometricFeatures(
         n_nodes=m.n_atoms,

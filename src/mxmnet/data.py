@@ -272,7 +272,7 @@ def split_dataset(
     membership.
     """
     f = tuple(float(x) for x in fractions)
-    if len(f) != 3 or any(x < 0 for x in f) or sum(f) > 1.0 + 1e-12:
+    if len(f) != 3 or not all(0.0 <= x <= 1.0 for x in f) or sum(f) > 1.0 + 1e-12:
         raise ValueError(f"bad split fractions {fractions}")
     n = len(ds.molecules)
     if n == 0:

@@ -24,6 +24,8 @@ __all__ = [
     "derive_bonds",
     "build_multiplex",
     "enumerate_angle_triples",
+    "reverse_edges",
+    "one_hop_rows",
     "count_angles",
     "count_messages",
     "dump_graph",
@@ -63,8 +65,10 @@ def neighbor_search(coords, cutoff: float) -> np.ndarray:
         diff = pts[:, None, :] - pts[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         mask = (d2 > 0.0) & (d2 < cutoff * cutoff)
-        j, i = np.nonzero(mask)
-        return _sorted_edges(j, i)
+        # d2 is exactly symmetric, and nonzero lists (i, j) in row-major
+        # order, which is the (i, j) sort already.
+        i, j = np.nonzero(mask)
+        return np.stack([j, i], axis=1)
     return _cell_list_search(pts, cutoff)
 
 
@@ -101,6 +105,27 @@ def _cell_list_search(pts: np.ndarray, cutoff: float) -> np.ndarray:
     return _sorted_edges(np.concatenate(src_parts), np.concatenate(dst_parts))
 
 
+# Covalent radius by atomic number; row 0 is unused.
+_RADII = np.array(
+    [np.nan] + [elements.covalent_radius(z) for z in range(1, elements.MAX_Z + 1)]
+)
+
+
+def _covalent_mask(m: Molecule) -> np.ndarray:
+    """Symmetric (n, n) mask of the covalent-radius rule, false on the diagonal."""
+    z = m.atomic_numbers
+    if z.max() > elements.MAX_Z:
+        # The table lookup would raise IndexError; this raises the
+        # ValueError that names the element.
+        elements.covalent_radius(int(z.max()))
+    radii = _RADII[z]
+    diff = m.coords[:, None, :] - m.coords[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    mask = dist < radii[:, None] + radii[None, :] + BOND_SLACK
+    np.fill_diagonal(mask, False)
+    return mask
+
+
 def derive_bonds(m: Molecule) -> list[tuple[int, int]]:
     """Bond list: explicit bonds when present, covalent-radius rule otherwise.
 
@@ -109,13 +134,7 @@ def derive_bonds(m: Molecule) -> list[tuple[int, int]]:
     """
     if m.bonds is not None:
         return list(m.bonds)
-    radii = np.array(
-        [elements.covalent_radius(int(z)) for z in m.atomic_numbers]
-    )
-    diff = m.coords[:, None, :] - m.coords[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    limit = radii[:, None] + radii[None, :] + BOND_SLACK
-    a, b = np.nonzero(np.triu(dist < limit, 1))
+    a, b = np.nonzero(np.triu(_covalent_mask(m)))
     return list(zip(a.tolist(), b.tolist()))
 
 
@@ -168,9 +187,12 @@ def build_multiplex(
     union of layers the plain cutoff graph instead of a multiplex over it.
     """
     if local_rule == "bonds":
-        und = derive_bonds(m)
-        if und:
-            a = np.asarray(und, dtype=np.int64)
+        if m.bonds is None:
+            # The mask is symmetric, so its nonzeros come sorted by (i, j).
+            i, j = np.nonzero(_covalent_mask(m))
+            local = np.stack([j, i], axis=1)
+        elif m.bonds:
+            a = np.asarray(m.bonds, dtype=np.int64)
             local = _sorted_edges(
                 np.concatenate([a[:, 0], a[:, 1]]),
                 np.concatenate([a[:, 1], a[:, 0]]),
@@ -205,6 +227,15 @@ def build_multiplex(
 def _edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """One integer per directed edge, ascending exactly when rows ascend in (i, j)."""
     return edges[:, 1] * n_nodes + edges[:, 0]
+
+
+def reverse_edges(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Row of each directed edge's reverse, in a valid layer's edge list.
+
+    The list must be sorted by (i, j) and symmetric, as
+    :meth:`MultiplexGraph.validate` checks.
+    """
+    return np.searchsorted(_edge_keys(edges, n_nodes), _edge_keys(edges[:, ::-1], n_nodes))
 
 
 @dataclass
@@ -267,6 +298,20 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
         one_hop_edge=t1e,
         one_hop_target=t1t,
     )
+
+
+def one_hop_rows(triples: AngleTriples, reverse: np.ndarray) -> np.ndarray:
+    """The two-hop row that lists each one-hop triple.
+
+    One-hop row (jp -> i, j -> i) and two-hop row (jp -> i, i -> j) are the
+    same triple (jp, i, j): the angle at i between jp and j, on edge
+    jp -> i.  ``reverse`` is :func:`reverse_edges` of the local layer.  Two-hop
+    rows ascend in (target, edge), so one search finds them all.
+    """
+    n_edges = reverse.size
+    two_hop = triples.two_hop_target * n_edges + triples.two_hop_edge
+    one_hop = reverse[triples.one_hop_target] * n_edges + triples.one_hop_edge
+    return np.searchsorted(two_hop, one_hop)
 
 
 def count_angles(n_nodes: int, undirected_edges) -> int:

@@ -66,8 +66,18 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_group < 1:
             raise ValueError("batch_group must be at least 1")
-        if not 0.0 < self.base_lr:
-            raise ValueError("base_lr must be positive")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not 0.0 <= self.warmup_epochs < math.inf:
+            raise ValueError(
+                f"warmup_epochs must be non-negative and finite, got {self.warmup_epochs}"
+            )
+        if not 0.0 < self.decay_ratio <= 1.0:
+            raise ValueError(f"decay_ratio must lie in (0, 1], got {self.decay_ratio}")
+        if not 0.0 < self.decay_epochs < math.inf:
+            raise ValueError(
+                f"decay_epochs must be positive and finite, got {self.decay_epochs}"
+            )
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
 

@@ -23,7 +23,7 @@ from mxmnet.basis import (
     zonal_harmonic,
 )
 from mxmnet.data import Molecule
-from mxmnet.graph import build_multiplex, enumerate_angle_triples
+from mxmnet.graph import build_multiplex, enumerate_angle_triples, one_hop_rows, reverse_edges
 from mxmnet.model import ModelConfig, prepare_inputs
 
 mpmath.mp.dps = 50
@@ -302,6 +302,36 @@ def test_featurize_single_atom_is_empty():
     assert f.rbf_global.shape == (0, N_RBF)
     assert f.sbf_two.shape == (0, N_SHBF * N_SRBF)
     assert f.sbf_one.shape == (0, N_SHBF * N_SRBF)
+
+
+def test_one_hop_rows_are_two_hop_rows_bit_for_bit():
+    # One-hop triple (jp -> i, j -> i) lists the same angle as two-hop
+    # triple (jp -> i, i -> j): at i between jp and j, radial part on
+    # jp -> i.  The row map is rebuilt here by dict lookup.
+    rng = np.random.default_rng(53)
+    mols = fixtures.fixture_set() + [fixtures.dihydrogen(), Molecule([6], [[0.0, 0.0, 0.0]])]
+    mols += [fixtures.random_molecule(rng) for _ in range(12)]
+    mapped = 0
+    for rule in ("bonds", "cutoff"):
+        cfg = ModelConfig(local_rule=rule)
+        for m in mols:
+            g, f = prepare_inputs(m, cfg)
+            edges = [tuple(e) for e in g.local_edges.tolist()]
+            edge_id = {e: k for k, e in enumerate(edges)}
+            pairs = zip(f.two_hop_edge.tolist(), f.two_hop_target.tolist())
+            two_hop_row = {pair: row for row, pair in enumerate(pairs)}
+            perm = []
+            for e, t in zip(f.one_hop_edge.tolist(), f.one_hop_target.tolist()):
+                j, i = edges[t]
+                perm.append(two_hop_row[(e, edge_id[(i, j)])])
+            assert sorted(perm) == list(range(len(two_hop_row)))
+            perm = np.array(perm, dtype=np.int64)
+            reverse = reverse_edges(g.local_edges, g.n_nodes)
+            assert np.array_equal(one_hop_rows(enumerate_angle_triples(g), reverse), perm)
+            assert f.sbf_one.shape == (perm.size, N_SHBF * N_SRBF)
+            assert f.sbf_one.tobytes() == f.sbf_two[perm].tobytes(), (rule, m.key)
+            mapped += perm.size
+    assert mapped > 1000
 
 
 def _per_triple_sbf(d, alpha, c):

@@ -228,6 +228,18 @@ def test_diverging_train_prints_only_its_error_line(tmp_path):
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("lr", ["inf", "nan"])
+def test_train_rejects_non_finite_learning_rate(tmp_path, capsys, lr):
+    manifest = _overfit_manifest(tmp_path)
+    out = tmp_path / "run"
+    cfg = _train_cfg_file(tmp_path, manifest, out)
+    assert cli.main(["train", "--config", cfg, "--lr", lr]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("error: base_lr must be positive and finite") and err.count("\n") == 1
+    assert not (out / "model.ckpt").exists()
+
+
 def test_train_reports_differ_by_seed(tmp_path):
     manifest = _overfit_manifest(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

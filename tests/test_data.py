@@ -189,6 +189,9 @@ def test_split_rejects_bad_inputs():
         split_dataset(ds, (0.8, 0.3, 0.1))
     with pytest.raises(ValueError):
         split_dataset(ds, (0.8, -0.1, 0.1))
+    for bad in ((float("nan"), 0.1, 0.1), (0.8, float("inf"), 0.1), (0.8, 0.1, float("-inf"))):
+        with pytest.raises(ValueError, match="bad split fractions"):
+            split_dataset(ds, bad)
     with pytest.raises(ValueError):
         ds.subset("train")  # no split attached yet
 

@@ -38,6 +38,27 @@ def test_train_config_validation():
         TrainConfig(target="u0", base_lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(target="u0", ema_decay=1.0)
+    bad_schedules = [
+        dict(base_lr=math.inf),
+        dict(base_lr=math.nan),
+        dict(warmup_epochs=-1.0),
+        dict(warmup_epochs=math.nan),
+        dict(warmup_epochs=math.inf),
+        dict(decay_ratio=-1.0),
+        dict(decay_ratio=0.0),
+        dict(decay_ratio=2.0),
+        dict(decay_ratio=math.nan),
+        dict(decay_epochs=0.0),
+        dict(decay_epochs=-600.0),
+        dict(decay_epochs=math.nan),
+        dict(decay_epochs=math.inf),
+    ]
+    for bad in bad_schedules:
+        field = next(iter(bad))
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(target="u0", **bad)
+    # The edges of each allowed range stay valid.
+    TrainConfig(target="u0", warmup_epochs=0.0, decay_ratio=1.0, decay_epochs=1e-3)
 
 
 def test_adam_zero_gradient_is_a_no_op():
