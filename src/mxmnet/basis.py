@@ -3,9 +3,10 @@
 Edges get a 16-component radial basis (envelope-damped spherical sinc
 waves); angle triples get a 42-component spherical basis combining radial
 spherical Bessel functions with zonal spherical harmonics, 7 degrees times
-6 radial orders.  Everything is cut off smoothly: the polynomial envelope
-and both bases reach zero value at the cutoff with two continuous
-derivatives.
+6 radial orders.  These sizes are the paper's and are module constants
+(``N_RBF``, ``N_SHBF``, ``N_SRBF``, and the envelope exponent 6), not
+parameters.  Everything is cut off smoothly: the polynomial envelope and
+both bases reach zero value at the cutoff with two continuous derivatives.
 
 The spherical Bessel functions, their positive roots and the Legendre
 polynomials are computed here from recurrences and bisection; tests check
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -59,13 +60,14 @@ N_SRBF = 6  # radial orders per degree
 _ENVELOPE_P = 6
 
 
-def envelope(x, p: int = _ENVELOPE_P):
+def envelope(x):
     """Polynomial cutoff: 1 at 0, reaching 0 at x = 1 with C2 smoothness.
 
     u(x) = 1 - (p+1)(p+2)/2 x^p + p(p+2) x^(p+1) - p(p+1)/2 x^(p+2) for
-    x < 1, and exactly 0 beyond.
+    x < 1, and exactly 0 beyond, with p = 6.
     """
     x = np.asarray(x, dtype=np.float64)
+    p = _ENVELOPE_P
     a = (p + 1) * (p + 2) / 2.0
     b = p * (p + 2)
     c = p * (p + 1) / 2.0
@@ -131,16 +133,26 @@ def _jl_series(l: np.ndarray, x: np.ndarray) -> np.ndarray:
     return total
 
 
+# The highest degree spherical_jl accepts.  Below its degree the ascending
+# series cancels: against mpmath its worst relative error is 2.8e-13 at
+# degree 20, 2.3e-11 at 30 and 2.5e-4 at 60.  The model reads degrees up to
+# N_SHBF (the norms of its top degree).
+_MAX_DEGREE = 20
+
+
 def spherical_jl(l, x) -> np.ndarray:
     """Spherical Bessel function of the first kind, j_l(x), for x >= 0.
 
     ``l`` is a degree or an integer array of degrees broadcast against
     ``x``, so one call evaluates several degrees; every element gets the
-    value a call for its degree alone would give.
+    value a call for its degree alone would give.  Degrees above 20, where
+    the series loses accuracy, raise ``ValueError``.
     """
     deg = np.asarray(l)
     if np.any(deg < 0):
         raise ValueError(f"degree must be non-negative, got {l}")
+    if np.any(deg > _MAX_DEGREE):
+        raise ValueError(f"degree must be at most {_MAX_DEGREE}, got {int(deg.max())}")
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0 and deg.ndim == 0
     if np.any(arr < 0):
@@ -179,28 +191,28 @@ def _bisect_roots(l: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-@lru_cache(maxsize=None)
-def _root_table(n_l: int, n_per_l: int) -> np.ndarray:
+@cache
+def _root_table() -> np.ndarray:
     # Row l needs one more root than row l+1 because consecutive roots of
     # j_l bracket the roots of j_{l+1} (interlacing).
-    k = np.arange(1, n_per_l + n_l, dtype=np.float64)
+    k = np.arange(1, N_SRBF + N_SHBF, dtype=np.float64)
     row = _bisect_roots(0, (k - 0.5) * math.pi, (k + 0.5) * math.pi)
-    rows = [row[:n_per_l]]
-    for l in range(1, n_l):
+    rows = [row[:N_SRBF]]
+    for l in range(1, N_SHBF):
         row = _bisect_roots(l, row[:-1], row[1:])
-        rows.append(row[:n_per_l])
+        rows.append(row[:N_SRBF])
     table = np.array(rows)
     table.flags.writeable = False
     return table
 
 
-def bessel_roots(n_l: int = N_SHBF, n_per_l: int = N_SRBF) -> np.ndarray:
-    """First ``n_per_l`` positive roots of j_l for l = 0 .. n_l - 1.
+def bessel_roots() -> np.ndarray:
+    """First ``N_SRBF`` positive roots of j_l for l = 0 .. N_SHBF - 1.
 
     Found by bisection between sign changes, bracketed by the previous
     degree's roots.  The result is cached and read-only.
     """
-    return _root_table(n_l, n_per_l)
+    return _root_table()
 
 
 def legendre(l, x) -> np.ndarray:
@@ -229,8 +241,8 @@ def zonal_harmonic(l, alpha) -> np.ndarray:
     return np.sqrt((2 * deg + 1) / (4.0 * math.pi)) * legendre(deg, np.cos(alpha))
 
 
-def radial_basis(d, cutoff: float, n: int = N_RBF) -> np.ndarray:
-    """Edge embedding rows: envelope-damped sinc waves, one per order.
+def radial_basis(d, cutoff: float) -> np.ndarray:
+    """Edge embedding rows: envelope-damped sinc waves, ``N_RBF`` orders.
 
     Component k (1-based) at distance d is
     u(d/c) * sqrt(2/c) * sin(k pi d / c) / d.  Rows at or beyond the cutoff
@@ -242,7 +254,7 @@ def radial_basis(d, cutoff: float, n: int = N_RBF) -> np.ndarray:
     c = float(cutoff)
     x = d / c
     env = envelope(x)
-    k = np.arange(1, n + 1, dtype=np.float64)
+    k = np.arange(1, N_RBF + 1, dtype=np.float64)
     out = (
         env[:, None]
         * math.sqrt(2.0 / c)
@@ -252,21 +264,19 @@ def radial_basis(d, cutoff: float, n: int = N_RBF) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _sbf_norms(n_l: int, n_per_l: int) -> np.ndarray:
+@cache
+def _sbf_norms() -> np.ndarray:
     # |j_{l+1}(z_{l,k})|, one row per degree l, read-only like the roots.
-    degree = np.arange(1, n_l + 1)[:, None]
-    norms = np.abs(spherical_jl(degree, _root_table(n_l, n_per_l)))
+    degree = np.arange(1, N_SHBF + 1)[:, None]
+    norms = np.abs(spherical_jl(degree, _root_table()))
     norms.flags.writeable = False
     return norms
 
 
-def spherical_basis(
-    d, alpha, cutoff: float, n_l: int = N_SHBF, n_per_l: int = N_SRBF, *, edge=None
-) -> np.ndarray:
-    """Angle-triple embedding rows, ``n_l * n_per_l`` columns.
+def spherical_basis(d, alpha, cutoff: float, *, edge=None) -> np.ndarray:
+    """Angle-triple embedding rows, ``N_SHBF * N_SRBF`` columns.
 
-    Column l * n_per_l + (k - 1) combines the radial Bessel function of
+    Column l * N_SRBF + (k - 1) combines the radial Bessel function of
     degree l at its k-th root, scaled into the cutoff, with the zonal
     harmonic of the angle:
     u(d/c) * sqrt(2 / (c^3 j_{l+1}(z_{l,k})^2)) * j_l(z_{l,k} d / c) * Y_l0(alpha).
@@ -285,11 +295,11 @@ def spherical_basis(
         raise ValueError("distances must be strictly positive")
     c = float(cutoff)
     x = d / c
-    degree = np.repeat(np.arange(n_l), n_per_l)
-    scale = math.sqrt(2.0 / c**3) / _sbf_norms(n_l, n_per_l).ravel()
-    radial = spherical_jl(degree, x[:, None] * bessel_roots(n_l, n_per_l).ravel())
+    degree = np.repeat(np.arange(N_SHBF), N_SRBF)
+    scale = math.sqrt(2.0 / c**3) / _sbf_norms().ravel()
+    radial = spherical_jl(degree, x[:, None] * bessel_roots().ravel())
     radial = envelope(x)[:, None] * (radial * scale)
-    y = zonal_harmonic(np.arange(n_l), alpha[:, None])
+    y = zonal_harmonic(np.arange(N_SHBF), alpha[:, None])
     return radial[edge] * y[:, degree]
 
 

@@ -1,7 +1,9 @@
 """Command-line entry points: featurize, train, eval, verify, bench.
 
-Configuration is a flat key=value text file; every key has a default, the
-command line can override the common ones, and unknown keys are rejected.
+Configuration is a flat key=value text file.  Each key is declared once, in
+``_KEYS``, with its type and default; model and training defaults are those
+of ``ModelConfig`` and ``TrainConfig``.  The command line can override the
+common keys, and unknown keys are rejected.
 All outputs land inside the configured output directory.
 """
 
@@ -15,13 +17,22 @@ import os
 import resource
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import basis, fixtures, graph as graphmod
 from .autodiff import Tape, backward
-from .data import Dataset, load_atomrefs, load_manifest, split_dataset, target_stats
+from .data import (
+    DEFAULT_FRACTIONS,
+    Dataset,
+    load_atomrefs,
+    load_manifest,
+    split_dataset,
+    target_stats,
+)
 from .model import (
+    MessageTally,
     ModelConfig,
     check_params,
     forward,
@@ -30,7 +41,6 @@ from .model import (
     prepare_inputs,
     save_checkpoint,
 )
-from .model import MessageTally
 from .training import (
     TrainConfig,
     compute_metrics,
@@ -39,53 +49,46 @@ from .training import (
     train,
 )
 
-_SCHEMA: dict[str, type] = {
-    "manifest": str,
-    "target": str,
-    "local_rule": str,
-    "dl": float,
-    "dg": float,
-    "hidden": int,
-    "layers": int,
-    "residuals": int,
-    "batch_group": int,
-    "lr": float,
-    "epochs": int,
-    "seed": int,
-    "out": str,
-    "loss": str,
-    "patience": int,
-    "train_frac": float,
-    "val_frac": float,
-    "test_frac": float,
-    "atomrefs": str,
-    "order": str,
-    "global_excludes_local": bool,
+
+class _Key(NamedTuple):
+    type: type
+    default: object
+    flag: bool = False  # also a command-line option
+    help: str | None = None
+
+
+# The order key names ModelConfig.local_first: False, then True.
+_ORDERS = ("global_first", "local_first")
+
+# Every config key once: its type, its default and whether the command line
+# can override it.  Model and training defaults are the dataclasses' own.
+_KEYS: dict[str, _Key] = {
+    "seed": _Key(int, TrainConfig.seed, flag=True),
+    "target": _Key(str, None, flag=True),
+    "dg": _Key(float, ModelConfig.global_cutoff, flag=True, help="global cutoff, Angstrom"),
+    "dl": _Key(float, ModelConfig.local_cutoff, flag=True, help="local cutoff, Angstrom"),
+    "layers": _Key(int, ModelConfig.n_layers, flag=True),
+    "hidden": _Key(int, ModelConfig.hidden_dim, flag=True),
+    "lr": _Key(float, TrainConfig.base_lr, flag=True),
+    "epochs": _Key(int, TrainConfig.epochs, flag=True),
+    "out": _Key(str, "mxm_out", flag=True),
+    "manifest": _Key(str, None),
+    "local_rule": _Key(str, ModelConfig.local_rule),
+    "residuals": _Key(int, ModelConfig.n_residuals),
+    "batch_group": _Key(int, TrainConfig.batch_group),
+    "loss": _Key(str, TrainConfig.loss),
+    "patience": _Key(int, TrainConfig.patience),
+    "train_frac": _Key(float, DEFAULT_FRACTIONS[0]),
+    "val_frac": _Key(float, DEFAULT_FRACTIONS[1]),
+    "test_frac": _Key(float, DEFAULT_FRACTIONS[2]),
+    "atomrefs": _Key(str, None),
+    "order": _Key(str, _ORDERS[ModelConfig.local_first]),
+    "global_excludes_local": _Key(bool, ModelConfig.global_excludes_local),
 }
 
-_DEFAULTS = {
-    "manifest": None,
-    "target": None,
-    "local_rule": "bonds",
-    "dl": 2.0,
-    "dg": 5.0,
-    "hidden": 128,
-    "layers": 6,
-    "residuals": 2,
-    "batch_group": 32,
-    "lr": 1e-3,
-    "epochs": 900,
-    "seed": 0,
-    "out": "mxm_out",
-    "loss": "mae",
-    "patience": 50,
-    "train_frac": 0.8,
-    "val_frac": 0.1,
-    "test_frac": 0.1,
-    "atomrefs": None,
-    "order": "global_first",
-    "global_excludes_local": False,
-}
+
+def _defaults() -> dict:
+    return {key: spec.default for key, spec in _KEYS.items()}
 
 
 class ConfigError(ValueError):
@@ -103,7 +106,7 @@ def _parse_bool(raw: str) -> bool:
 
 def parse_config(path) -> dict:
     """Read a flat key=value config; unknown keys are an error."""
-    cfg = dict(_DEFAULTS)
+    cfg = _defaults()
     with open(path, encoding="utf-8") as fh:
         for num, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -114,9 +117,9 @@ def parse_config(path) -> dict:
             value = value.strip()
             if not sep:
                 raise ConfigError(f"{path}:{num}: expected key=value, got {line!r}")
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{num}: unknown config key {key!r}")
-            typ = _SCHEMA[key]
+            typ = _KEYS[key].type
             try:
                 if typ is bool:
                     cfg[key] = _parse_bool(value)
@@ -129,30 +132,16 @@ def parse_config(path) -> dict:
     return cfg
 
 
-_OVERRIDES = (
-    ("seed", int),
-    ("target", str),
-    ("dg", float),
-    ("dl", float),
-    ("layers", int),
-    ("hidden", int),
-    ("lr", float),
-    ("epochs", int),
-    ("out", str),
-)
-
-
 def _settings(args) -> dict:
-    cfg = parse_config(args.config) if args.config else dict(_DEFAULTS)
-    for key, _ in _OVERRIDES:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg = parse_config(args.config) if args.config else _defaults()
+    for key, spec in _KEYS.items():
+        if spec.flag and getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
 def _model_config(cfg: dict) -> ModelConfig:
-    if cfg["order"] not in ("global_first", "local_first"):
+    if cfg["order"] not in _ORDERS:
         raise ConfigError(f"order must be global_first or local_first, got {cfg['order']!r}")
     return ModelConfig(
         hidden_dim=cfg["hidden"],
@@ -215,8 +204,9 @@ def cmd_featurize(args) -> int:
             fh.write(graphmod.dump_graph(g))
         _write_edge_csv(base + ".rbf_local.csv", feats.local_src, feats.local_dst, feats.rbf_local, "rbf")
         _write_edge_csv(base + ".rbf_global.csv", feats.global_src, feats.global_dst, feats.rbf_global, "rbf")
-        _write_triple_csv(base + ".sbf_two.csv", feats, two_hop=True)
-        _write_triple_csv(base + ".sbf_one.csv", feats, two_hop=False)
+        triples = graphmod.enumerate_angle_triples(g)
+        _write_triple_csv(base + ".sbf_two.csv", ["k", "j", "i"], triples.two_hop, feats.sbf_two)
+        _write_triple_csv(base + ".sbf_one.csv", ["jp", "i", "j"], triples.one_hop, feats.sbf_one)
         print(
             f"{m.key or stem}: N={feats.n_nodes} El={feats.local_src.size} "
             f"Eg={feats.global_src.size} T2={feats.sbf_two.shape[0]} "
@@ -233,20 +223,7 @@ def _write_edge_csv(path, src, dst, mat, prefix):
             w.writerow([int(src[e]), int(dst[e])] + [_fmt(v) for v in mat[e]])
 
 
-def _write_triple_csv(path, feats, two_hop: bool):
-    # Node triples are reconstructed from the edge pointer arrays: the
-    # pointed-at edge supplies (first, vertex), the target edge the rest.
-    src, dst = feats.local_src, feats.local_dst
-    if two_hop:
-        e, t = feats.two_hop_edge, feats.two_hop_target
-        idx = np.stack([src[e], dst[e], dst[t]], axis=1) if e.size else np.empty((0, 3), int)
-        mat = feats.sbf_two
-        cols = ["k", "j", "i"]
-    else:
-        e, t = feats.one_hop_edge, feats.one_hop_target
-        idx = np.stack([src[e], dst[e], src[t]], axis=1) if e.size else np.empty((0, 3), int)
-        mat = feats.sbf_one
-        cols = ["jp", "i", "j"]
+def _write_triple_csv(path, cols, idx, mat):
     header = cols + [
         f"sbf_l{l}n{n + 1}"
         for l in range(basis.N_SHBF)
@@ -616,15 +593,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--target")
-        p.add_argument("--dg", type=float, help="global cutoff, Angstrom")
-        p.add_argument("--dl", type=float, help="local cutoff, Angstrom")
-        p.add_argument("--layers", type=int)
-        p.add_argument("--hidden", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--out")
+        for key, spec in _KEYS.items():
+            if spec.flag:
+                p.add_argument(f"--{key}", type=spec.type, help=spec.help)
 
     p = sub.add_parser("featurize", help="write graphs and basis embeddings")
     common(p)

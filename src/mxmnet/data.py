@@ -23,6 +23,7 @@ import numpy as np
 from . import elements
 
 __all__ = [
+    "DEFAULT_FRACTIONS",
     "Molecule",
     "Split",
     "Dataset",
@@ -215,13 +216,11 @@ def save_molecule(m: Molecule, path):
 
 @dataclass
 class Split:
-    """Index lists into ``Dataset.molecules`` plus the recipe that made them."""
+    """Index lists into ``Dataset.molecules``."""
 
     train: list[int]
     val: list[int]
     test: list[int]
-    seed: int = 0
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
 
 @dataclass
@@ -262,9 +261,11 @@ def load_manifest(path) -> Dataset:
     return Dataset(mols)
 
 
-def split_dataset(
-    ds: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0
-) -> Dataset:
+# Train, validation and test shares of a split.
+DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)
+
+
+def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> Dataset:
     """Deterministic shuffle then contiguous cut into train/val/test.
 
     When every molecule carries a unique key the shuffle runs over the
@@ -291,8 +292,6 @@ def split_dataset(
         train=perm[:n_train],
         val=perm[n_train : n_train + n_val],
         test=perm[n_train + n_val : n_train + n_val + n_test],
-        seed=seed,
-        fractions=f,
     )
     return Dataset(ds.molecules, split=split)
 

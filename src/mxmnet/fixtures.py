@@ -78,7 +78,6 @@ _GROW_ELEMENTS = (1, 6, 7, 8, 9)
 def random_molecule(
     rng: np.random.Generator,
     n_atoms: int | None = None,
-    elements_pool=_GROW_ELEMENTS,
     key: str | None = None,
 ) -> Molecule:
     """Connected random structure with plausible bond lengths.
@@ -93,7 +92,7 @@ def random_molecule(
         n_atoms = int(rng.integers(3, 8))
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    z = rng.choice(elements_pool, size=n_atoms)
+    z = rng.choice(_GROW_ELEMENTS, size=n_atoms)
     coords = np.zeros((n_atoms, 3))
     for k in range(1, n_atoms):
         r_k = el.covalent_radius(int(z[k]))
@@ -224,7 +223,7 @@ def write_verify_pairs(out_dir, n: int = 4, seed: int = 3):
     return [m.key for m in mols]
 
 
-def dataset_from(mols, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> Dataset:
+def dataset_from(mols, fractions, seed: int = 0) -> Dataset:
     from .data import split_dataset
 
     return split_dataset(Dataset(list(mols)), fractions, seed)

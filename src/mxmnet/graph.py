@@ -21,7 +21,6 @@ __all__ = [
     "AngleTriples",
     "MessageCounts",
     "neighbor_search",
-    "derive_bonds",
     "build_multiplex",
     "enumerate_angle_triples",
     "reverse_edges",
@@ -112,7 +111,10 @@ _RADII = np.array(
 
 
 def _covalent_mask(m: Molecule) -> np.ndarray:
-    """Symmetric (n, n) mask of the covalent-radius rule, false on the diagonal."""
+    """Symmetric (n, n) mask of the covalent-radius rule, false on the diagonal.
+
+    Atoms i, j bond when |r_i - r_j| < r_cov(i) + r_cov(j) + BOND_SLACK.
+    """
     z = m.atomic_numbers
     if z.max() > elements.MAX_Z:
         # The table lookup would raise IndexError; this raises the
@@ -124,18 +126,6 @@ def _covalent_mask(m: Molecule) -> np.ndarray:
     mask = dist < radii[:, None] + radii[None, :] + BOND_SLACK
     np.fill_diagonal(mask, False)
     return mask
-
-
-def derive_bonds(m: Molecule) -> list[tuple[int, int]]:
-    """Bond list: explicit bonds when present, covalent-radius rule otherwise.
-
-    Fallback rule: atoms i, j bond when |r_i - r_j| < r_cov(i) + r_cov(j)
-    plus 0.3 Angstrom.
-    """
-    if m.bonds is not None:
-        return list(m.bonds)
-    a, b = np.nonzero(np.triu(_covalent_mask(m)))
-    return list(zip(a.tolist(), b.tolist()))
 
 
 @dataclass

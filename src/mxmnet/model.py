@@ -40,7 +40,7 @@ from .autodiff import (
 )
 from .basis import N_RBF, N_SHBF, N_SRBF, GeometricFeatures, featurize
 from .data import Molecule
-from .graph import MessageCounts, MultiplexGraph, build_multiplex
+from .graph import MessageCounts, build_multiplex
 
 __all__ = [
     "ModelConfig",
@@ -54,7 +54,6 @@ __all__ = [
     "residual_update",
     "output_head",
     "forward",
-    "build_graph",
     "prepare_inputs",
     "save_checkpoint",
     "load_checkpoint",
@@ -370,19 +369,15 @@ def output_head(h, params, prefix):
     return matmul(_mlp2(h, params, prefix), params[f"{prefix}/w3"])
 
 
-def build_graph(m: Molecule, cfg: ModelConfig) -> MultiplexGraph:
-    return build_multiplex(
+def prepare_inputs(m: Molecule, cfg: ModelConfig):
+    """Graph plus geometric features for one molecule (cache-friendly)."""
+    g = build_multiplex(
         m,
         local_rule=cfg.local_rule,
         local_cutoff=cfg.local_cutoff,
         global_cutoff=cfg.global_cutoff,
         global_excludes_local=cfg.global_excludes_local,
     )
-
-
-def prepare_inputs(m: Molecule, cfg: ModelConfig):
-    """Graph plus geometric features for one molecule (cache-friendly)."""
-    g = build_graph(m, cfg)
     feats = featurize(m, g, cfg.local_cutoff)
     return g, feats
 

@@ -86,9 +86,9 @@ def lr_at(
     step: int,
     steps_per_epoch: int,
     base_lr: float,
-    warmup_epochs: float = 1.0,
-    decay_ratio: float = 0.1,
-    decay_epochs: float = 600.0,
+    warmup_epochs: float = TrainConfig.warmup_epochs,
+    decay_ratio: float = TrainConfig.decay_ratio,
+    decay_epochs: float = TrainConfig.decay_epochs,
 ) -> float:
     """Learning rate at a global step: linear warmup from zero across the
     first epoch, then continuous exponential decay by ``decay_ratio`` every
@@ -148,7 +148,7 @@ class EmaWeights:
     ``update`` moves each shadow value by (1 - decay) toward the live one.
     """
 
-    def __init__(self, store: ParamStore, decay: float = 0.999):
+    def __init__(self, store: ParamStore, decay: float = TrainConfig.ema_decay):
         self.decay = float(decay)
         self.shadow = store.copy()
 
@@ -210,8 +210,6 @@ class TrainReport:
     best_epoch: int = -1
     best_val_mae: float = math.nan
     final_train_mae: float = math.nan
-    target: str = ""
-    seed: int = 0
 
     CSV_COLUMNS = ("epoch", "train_loss", "val_mae", "lr", "seconds")
 
@@ -294,7 +292,7 @@ def train(
     steps_per_epoch = math.ceil(n / group)
     rng = np.random.default_rng(train_cfg.seed)
 
-    report = TrainReport(target=train_cfg.target, seed=train_cfg.seed)
+    report = TrainReport()
     best: ParamStore | None = None
     best_val = math.inf
     since_best = 0

@@ -81,6 +81,26 @@ def test_spherical_jl_spot_value_high_precision():
     assert abs(got - _mp_jl(3, 2.5)) < 1e-15
 
 
+def test_spherical_jl_below_its_degree_matches_mpmath_up_to_degree_20():
+    # x < l takes the ascending series, which cancels as the degree grows;
+    # degree 20 is the highest it keeps to 1e-12 relative, so it is the cap
+    rng = np.random.default_rng(42)
+    for l in range(21):
+        hi = max(l, 1)
+        x = np.concatenate([np.linspace(0.0, hi, 41)[1:-1], rng.uniform(0.0, hi, 20), [1e-6 * hi]])
+        want = np.array([_mp_jl(l, v) for v in x])
+        got = spherical_jl(l, x)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+def test_spherical_jl_rejects_degrees_above_20():
+    with pytest.raises(ValueError, match="got 21"):
+        spherical_jl(21, 1.0)
+    with pytest.raises(ValueError, match="got 21"):
+        spherical_jl(np.array([3, 21, 5]), np.array([1.0, 30.0, 2.0]))
+    assert spherical_jl(20, 1.0) > 0.0
+
+
 def test_bessel_roots_are_roots():
     roots = bessel_roots()
     assert roots.shape == (N_SHBF, N_SRBF)

@@ -22,6 +22,7 @@ from mxmnet.data import (
 )
 from mxmnet.graph import count_angles, enumerate_angle_triples, neighbor_search
 from mxmnet.model import ModelConfig, init_params, save_checkpoint
+from mxmnet.training import TrainConfig
 
 
 def _write_config(path, **kv):
@@ -52,6 +53,51 @@ def test_parse_config_defaults_and_comments(tmp_path):
     assert cfg["hidden"] == 16
     assert cfg["seed"] == 5
     assert cfg["layers"] == 6  # untouched default
+
+
+def test_parse_config_defaults_are_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "empty.cfg"
+    path.write_text("")
+    cfg = parse_config(path)
+    model, tcfg = ModelConfig(), TrainConfig(target="u0")
+    assert cfg["hidden"] == model.hidden_dim
+    assert cfg["layers"] == model.n_layers
+    assert cfg["residuals"] == model.n_residuals
+    assert cfg["local_rule"] == model.local_rule
+    assert cfg["dl"] == model.local_cutoff
+    assert cfg["dg"] == model.global_cutoff
+    assert cfg["global_excludes_local"] == model.global_excludes_local
+    assert cfg["order"] == "global_first" and model.local_first is False
+    assert cfg["epochs"] == tcfg.epochs
+    assert cfg["lr"] == tcfg.base_lr
+    assert cfg["batch_group"] == tcfg.batch_group
+    assert cfg["seed"] == tcfg.seed
+    assert cfg["loss"] == tcfg.loss
+    assert cfg["patience"] == tcfg.patience
+    assert (cfg["train_frac"], cfg["val_frac"], cfg["test_frac"]) == (0.8, 0.1, 0.1)
+    assert cfg["target"] is None and cfg["manifest"] is None and cfg["atomrefs"] is None
+    assert cfg["out"] == "mxm_out"
+    assert len(cfg) == 21
+
+
+def test_train_help_lists_the_common_flags(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["train", "--help"])
+    assert e.value.code == 0
+    flags = {tok.strip("[],") for tok in capsys.readouterr().out.split() if tok.startswith("--")}
+    assert flags == {
+        "--help",
+        "--config",
+        "--seed",
+        "--target",
+        "--dg",
+        "--dl",
+        "--layers",
+        "--hidden",
+        "--lr",
+        "--epochs",
+        "--out",
+    }
 
 
 def test_parse_config_rejects_unknown_keys(tmp_path):

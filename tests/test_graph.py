@@ -11,7 +11,6 @@ from mxmnet.graph import (
     build_multiplex,
     count_angles,
     count_messages,
-    derive_bonds,
     dump_graph,
     enumerate_angle_triples,
     neighbor_search,
@@ -63,9 +62,18 @@ def test_neighbor_search_rejects_bad_input():
         neighbor_search(np.zeros((2, 3)), 0.0)
 
 
-def test_derive_bonds_prefers_explicit_bonds():
+def _local_bonds(m):
+    """The bonds-rule local layer as (a, b) pairs with a < b, row-major."""
+    e = build_multiplex(m).local_edges
+    return sorted(map(tuple, e[e[:, 0] < e[:, 1]].tolist()))
+
+
+def test_local_bonds_prefer_explicit_bonds():
     m = fixtures.water()
-    assert derive_bonds(m) == [(0, 1), (0, 2)]
+    assert _local_bonds(m) == [(0, 1), (0, 2)]
+    # one explicit bond where the distance rule would find two
+    m = Molecule(m.atomic_numbers, m.coords, bonds=[(0, 2)])
+    assert _local_bonds(m) == [(0, 2)]
 
 
 def _bonds_by_pair_loop(m):
@@ -92,20 +100,18 @@ def _reference_molecules():
     return mols + [Molecule(m.atomic_numbers, m.coords) for m in mols]
 
 
-def test_derive_bonds_distance_rule():
+def test_local_bonds_distance_rule():
     h2 = Molecule([1, 1], [[0.0, 0.0, 0.0], [0.74, 0.0, 0.0]])
-    assert derive_bonds(h2) == [(0, 1)]  # 0.74 < 0.31 + 0.31 + 0.3
+    assert _local_bonds(h2) == [(0, 1)]  # 0.74 < 0.31 + 0.31 + 0.3
     far = Molecule([2, 2], [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-    assert derive_bonds(far) == []
+    assert _local_bonds(far) == []
 
 
-def test_derive_bonds_matches_pair_loop():
+def test_local_bonds_match_pair_loop():
     for m in _reference_molecules():
         if m.bonds is not None:
             continue
-        got = derive_bonds(m)
-        assert got == _bonds_by_pair_loop(m)
-        assert all(type(a) is int and type(b) is int for a, b in got)
+        assert _local_bonds(m) == _bonds_by_pair_loop(m)
 
 
 def test_build_multiplex_water():
