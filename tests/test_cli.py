@@ -1,11 +1,13 @@
 """Command-line behavior: config handling, outputs, determinism, exit codes."""
 
+import ctypes
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from mxmnet.data import (
     target_stats,
 )
 from mxmnet.graph import count_angles, enumerate_angle_triples, neighbor_search
-from mxmnet.model import ModelConfig, init_params, save_checkpoint
+from mxmnet.model import ModelConfig, forward, init_params, save_checkpoint
 from mxmnet.training import TrainConfig
 
 
@@ -216,6 +218,8 @@ def test_train_writes_expected_outputs(tmp_path, capsys):
     assert os.path.exists(summary["checkpoint"])
     assert summary["train_target_std"] > 0
     assert math.isfinite(summary["peak_rss_mb"]) and summary["peak_rss_mb"] > 0
+    faults = summary["minor_page_faults"]
+    assert isinstance(faults, int) and not isinstance(faults, bool) and faults >= 0
 
 
 def test_train_flag_overrides_beat_config(tmp_path):
@@ -494,3 +498,104 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "featurize" in proc.stdout and "bench" in proc.stdout
+
+
+# --- the allocator setting of the mxmnet command -----------------------------
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+needs_mallopt = pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+
+# One untaped paper-dims forward of a fixed 29-atom molecule, run three times;
+# prints the minor page faults each run added.
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from mxmnet import fixtures
+from mxmnet.model import ModelConfig, forward, init_params, prepare_inputs
+
+cfg = ModelConfig()
+params = init_params(cfg, 0)
+m = fixtures.random_molecule(np.random.default_rng(0), n_atoms=29, key="faults")
+_, feats = prepare_inputs(m, cfg)
+counts = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    forward(m, params, cfg, feats=feats)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*counts)
+"""
+
+
+@needs_mallopt
+def test_kept_freed_memory_makes_a_repeated_forward_fault_free():
+    cli._keep_freed_memory()
+    scope = {}
+    exec(_FAULT_PROBE, scope)
+    # Without the setting the second forward faults about 10k times.
+    assert scope["counts"][1] < 64
+
+
+@needs_mallopt
+def test_importing_the_package_leaves_the_allocator_alone():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    every_module = (
+        "import importlib, pkgutil, mxmnet\n"
+        "for mod in pkgutil.iter_modules(mxmnet.__path__):\n"
+        "    importlib.import_module('mxmnet.' + mod.name)\n"
+    )
+    probe = every_module + _FAULT_PROBE
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    # Every module is imported, yet freed arrays still go back to the kernel.
+    assert int(proc.stdout.split()[1]) >= 64
+
+
+def test_main_keeps_freed_memory_once_per_command(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+    assert cli.main(["featurize"]) == 2  # no manifest: the command fails
+    assert calls == [1]
+
+
+def test_keep_freed_memory_sets_the_two_glibc_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    libc = types.SimpleNamespace(mallopt=mallopt)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    cli._keep_freed_memory()
+    # M_MMAP_THRESHOLD at its 32 MiB maximum, M_TRIM_THRESHOLD out of reach.
+    assert calls == [(-3, 32 * 1024 * 1024), (-1, 2**31 - 1)]
+
+
+def _no_libc(name):
+    raise OSError("no libc")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()], ids=["no-libc", "no-mallopt"])
+def test_keep_freed_memory_is_quiet_where_mallopt_is_missing(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
+
+
+def test_keep_freed_memory_twice_changes_no_result():
+    mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
+    params = init_params(mcfg, 3)
+    m = fixtures.water()
+    before = forward(m, params, mcfg).data.tobytes()
+    cli._keep_freed_memory()
+    cli._keep_freed_memory()
+    assert forward(m, params, mcfg).data.tobytes() == before
