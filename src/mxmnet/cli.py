@@ -273,8 +273,10 @@ def cmd_train(args) -> int:
         "n_parameters": result.params.n_scalars(),
         "checkpoint": ckpt,
         "wall_seconds": wall,
-        # Linux reports ru_maxrss in KiB.
+        # Linux reports ru_maxrss in KiB.  Shard workers are counted apart:
+        # the largest of them, once reaped, is the children's ru_maxrss.
         "peak_rss_mb": usage.ru_maxrss / 1024,
+        "worker_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
         "minor_page_faults": usage.ru_minflt,
         "train_target_std": stats.std,
     }

@@ -360,15 +360,20 @@ class MessageCounts:
 
 
 def count_messages(g: MultiplexGraph, triples: AngleTriples | None = None) -> MessageCounts:
-    """Closed-form message tallies for one block on this graph."""
+    """Closed-form message tallies for one block on this graph.
+
+    ``triples`` may be the graph's :class:`AngleTriples` or anything else
+    with their ``two_hop_edge`` and ``one_hop_edge`` rows, such as the
+    molecule's ``basis.GeometricFeatures``; without it they are enumerated.
+    """
     if triples is None:
         triples = enumerate_angle_triples(g)
     e_l = int(g.local_edges.shape[0])
     e_g = int(g.global_edges.shape[0])
     return MessageCounts(
         global_mp=2 * e_g,
-        local_step1=int(triples.two_hop.shape[0]) + e_l,
-        local_step2=int(triples.one_hop.shape[0]) + e_l,
+        local_step1=int(triples.two_hop_edge.shape[0]) + e_l,
+        local_step2=int(triples.one_hop_edge.shape[0]) + e_l,
         local_step3=e_l,
         cross_layer=2 * g.n_nodes,
     )

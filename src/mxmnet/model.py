@@ -444,7 +444,11 @@ def save_checkpoint(store: ParamStore, path):
 
 
 def load_checkpoint(path) -> ParamStore:
-    """Read a checkpoint back; byte-exact inverse of :func:`save_checkpoint`."""
+    """Read a checkpoint back; byte-exact inverse of :func:`save_checkpoint`.
+
+    Raises ``ValueError`` for a malformed or truncated file, a non-finite
+    value (naming its parameter) and bytes after the last record.
+    """
     store = ParamStore()
     with open(path, "rb") as fh:
         magic = fh.readline().decode().split()
@@ -467,5 +471,9 @@ def load_checkpoint(path) -> ParamStore:
             if len(raw) != 8 * n:
                 raise ValueError(f"{path}: truncated data for {name!r}")
             arr = np.frombuffer(raw, dtype="<f8", count=n).reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{path}: non-finite value in parameter {name!r}")
             store.add(name, arr.astype(np.float64))
+        if fh.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the last record")
     return store

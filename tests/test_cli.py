@@ -220,6 +220,8 @@ def test_train_writes_expected_outputs(tmp_path, capsys):
     assert math.isfinite(summary["peak_rss_mb"]) and summary["peak_rss_mb"] > 0
     faults = summary["minor_page_faults"]
     assert isinstance(faults, int) and not isinstance(faults, bool) and faults >= 0
+    workers = summary["worker_peak_rss_mb"]
+    assert isinstance(workers, float) and math.isfinite(workers) and workers >= 0
 
 
 def test_train_flag_overrides_beat_config(tmp_path):
@@ -404,6 +406,20 @@ def test_eval_rejects_checkpoint_of_another_architecture(tmp_path, capsys, flags
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert expect in err
+
+
+def test_eval_rejects_a_non_finite_checkpoint(tmp_path, capsys):
+    manifest = _overfit_manifest(tmp_path)
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", test_frac=0.25, val_frac=0.0)
+    params = init_params(ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1))
+    params["embed/table"].data[0, 0] = math.nan
+    ckpt = str(tmp_path / "nan.ckpt")
+    save_checkpoint(params, ckpt)
+    assert cli.main(["eval", "--config", cfg, "--checkpoint", ckpt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite value in parameter 'embed/table'" in err
 
 
 def test_verify_passes_on_clean_fixtures(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mxmnet import elements, fixtures
+from mxmnet.basis import featurize
 from mxmnet.data import Molecule
 from mxmnet.graph import (
     BOND_SLACK,
@@ -387,6 +388,8 @@ def test_count_messages_tracks_triples():
         assert c.local_step2 == t.one_hop.shape[0] + e_l
         assert c.local_step3 == e_l
         assert c.cross_layer == 2 * g.n_nodes
+        # The features list the same triples, one row each.
+        assert count_messages(g, featurize(m, g, 2.0)) == c
 
 
 def test_dump_graph_format():

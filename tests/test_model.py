@@ -437,3 +437,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError):
         load_checkpoint(truncated)
+
+    trailing = tmp_path / "trailing.ckpt"
+    trailing.write_bytes(blob + b"\0")
+    with pytest.raises(ValueError, match="after the last record"):
+        load_checkpoint(trailing)
+
+    name = params.names()[-1]
+    for bad in (math.nan, math.inf, -math.inf):
+        params[name].data.reshape(-1)[0] = bad
+        non_finite = tmp_path / "non_finite.ckpt"
+        save_checkpoint(params, non_finite)
+        with pytest.raises(ValueError, match=f"non-finite value in parameter '{name}'"):
+            load_checkpoint(non_finite)

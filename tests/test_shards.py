@@ -1,0 +1,241 @@
+"""Molecule shards across forked processes: same results, no stray children.
+
+Two shards are forced by patching the private core count and minimum work
+per shard.  These tests need an OpenBLAS whose thread count can be set;
+elsewhere every run stays in one process and they are skipped.
+"""
+
+import os
+import signal
+import time
+
+import numpy as np
+import pytest
+
+from mxmnet import cli, fixtures, training
+from mxmnet.model import ModelConfig, init_params
+from mxmnet.training import TrainConfig, evaluate, prepare_all, train
+
+from conftest import rel_gap
+
+pytestmark = pytest.mark.skipif(
+    training._openblas() is None,
+    reason="shards need an OpenBLAS with a settable thread count",
+)
+
+TINY = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
+
+
+@pytest.fixture
+def shards(monkeypatch):
+    """``shards(n)`` makes every list of at least n molecules split n ways."""
+
+    def force(n):
+        monkeypatch.setattr(training, "_usable_cores", lambda: n)
+        monkeypatch.setattr(training, "_MIN_SHARD_MESSAGES", 1)
+
+    return force
+
+
+@pytest.fixture(autouse=True)
+def bounded():
+    """Fail a test that hangs (a child never reaped, a pipe never closed)
+    instead of stalling the suite; children do not inherit the alarm."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test did not finish within 120 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _prepared(n=4):
+    mols = fixtures.overfit_set(n, seed=7)
+    return mols, prepare_all(mols, TINY)
+
+
+def test_shard_bounds_are_contiguous_cover_the_input_and_balance_cost():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        costs = rng.integers(1, 2000, size=int(rng.integers(1, 40))).tolist()
+        for n in (1, 2, 3, 4):
+            bounds = training._shard_bounds(costs, n)
+            assert bounds[0][0] == 0 and bounds[-1][1] == len(costs)
+            assert all(lo < hi for lo, hi in bounds)
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert len(bounds) <= n
+            # Each cut is the nearest whole item to its target, so no
+            # shard is off its even share by more than one item's cost.
+            if len(bounds) == n:
+                share = sum(costs) / n
+                for lo, hi in bounds:
+                    assert abs(sum(costs[lo:hi]) - share) <= max(costs)
+    assert training._shard_bounds([5, 1, 1, 1, 1, 1], 2) == [(0, 1), (1, 6)]
+    # Both cuts of a three-way split land after the one heavy item.
+    assert training._shard_bounds([100, 1, 1], 3) == [(0, 1), (1, 3)]
+
+
+def test_small_or_single_core_work_stays_in_one_process(monkeypatch):
+    _, prepared = _prepared(4)
+    # Four small molecules are far below the minimum work per shard.
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    assert training._plan_shards(prepared) == [(0, 4)]
+    monkeypatch.setattr(training, "_MIN_SHARD_MESSAGES", 1)
+    assert training._plan_shards(prepared) == [(0, 2), (2, 4)]
+    monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+    assert training._plan_shards(prepared) == [(0, 4)]
+
+
+def test_sharded_evaluate_is_bit_identical_to_one_shard(shards):
+    mols, prepared = _prepared(8)
+    params = init_params(TINY, 3)
+    tcfg = TrainConfig(target="u0")
+    one = evaluate(params, mols, prepared, TINY, tcfg)
+    shards(2)
+    assert len(training._plan_shards(prepared)) == 2
+    two = evaluate(params, mols, prepared, TINY, tcfg)
+    for a, b in zip(one, two):
+        assert a.tobytes() == b.tobytes()
+    empty = evaluate(params, [], [], TINY, tcfg)
+    assert [a.shape for a in empty] == [(0,), (0,)]
+    _no_children_left()
+
+
+def test_sharded_train_matches_one_shard(shards):
+    ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
+    tcfg = TrainConfig(target="u0", epochs=3, base_lr=5e-3, batch_group=6, seed=1)
+    one = train(ds, TINY, tcfg)
+    shards(2)
+    two = train(ds, TINY, tcfg)
+    again = train(ds, TINY, tcfg)
+    for name, t in one.params.items():
+        assert rel_gap(two.params[name].data, t.data) <= 1e-12, name
+        assert again.params[name].data.tobytes() == two.params[name].data.tobytes()
+    for a, b in zip(one.report.epochs, two.report.epochs):
+        assert abs(a.train_loss - b.train_loss) <= 1e-12 * abs(a.train_loss)
+        assert abs(a.val_mae - b.val_mae) <= 1e-12 * abs(a.val_mae)
+    assert [e.train_loss for e in again.report.epochs] == [
+        e.train_loss for e in two.report.epochs
+    ]
+    _no_children_left()
+
+
+def _train_cli(tmp_path, name, *flags):
+    # Six train and six validation molecules: both the steps and the
+    # validation passes split in two.
+    manifest = fixtures.write_molecule_dir(fixtures.overfit_set(12, seed=7), tmp_path / "mols")
+    out = tmp_path / name
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(
+        f"manifest = {manifest}\ntarget = u0\nhidden = 8\nlayers = 1\n"
+        f"residuals = 1\nepochs = 3\ntrain_frac = 0.5\nval_frac = 0.5\n"
+        f"test_frac = 0.0\nout = {out}\n"
+    )
+    return cli.main(["train", "--config", str(cfg), *flags]), out
+
+
+def test_sharded_train_command_reruns_byte_identical(tmp_path, shards):
+    shards(2)
+    for name in ("a", "b"):
+        assert _train_cli(tmp_path, name)[0] == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
+
+    def rows(out):
+        # Every column but the wall-clock seconds.
+        return [r.rsplit(",", 1)[0] for r in (out / "report.csv").read_text().splitlines()]
+
+    assert rows(a) == rows(b)
+    _no_children_left()
+
+
+def test_diverging_sharded_run_names_the_same_molecule(tmp_path, capsys, shards):
+    code, _ = _train_cli(tmp_path, "one", "--lr", "1e150")
+    one = capsys.readouterr().err
+    shards(2)
+    code_two, _ = _train_cli(tmp_path, "two", "--lr", "1e150")
+    two = capsys.readouterr().err
+    assert code == code_two == 2
+    assert "Traceback" not in two
+    lines = [ln for ln in two.splitlines() if ln.startswith("error: ")]
+    assert len(lines) == 1 and two.count("\n") == 1
+    assert "non-finite" in lines[0] and "for molecule" in lines[0]
+    assert lines[0] == one.strip()
+    _no_children_left()
+
+
+def test_earliest_failing_shard_wins_with_its_type_and_message(shards):
+    _, prepared = _prepared(6)
+    shards(3)
+    assert len(training._plan_shards(prepared)) == 3
+
+    def fail_past_first(lo, hi):
+        if lo > 0:
+            raise KeyError(f"shard at {lo}")
+        return []
+
+    with pytest.raises(KeyError) as e:
+        training._run_sharded(prepared, fail_past_first, None)
+    first_child = training._plan_shards(prepared)[1][0]
+    assert e.value.args == (f"shard at {first_child}",)
+    _no_children_left()
+
+    def fail_everywhere(lo, hi):
+        raise FloatingPointError(f"shard at {lo}")
+
+    with pytest.raises(FloatingPointError, match="^shard at 0$"):
+        training._run_sharded(prepared, fail_everywhere, None)
+    _no_children_left()
+
+
+def test_a_dying_child_raises_instead_of_hanging(shards):
+    _, prepared = _prepared(4)
+    shards(2)
+
+    def die(lo, hi):
+        if lo > 0:
+            os._exit(3)
+        return []
+
+    with pytest.raises(ChildProcessError, match="exit status 3"):
+        training._run_sharded(prepared, die, None)
+    _no_children_left()
+
+
+def test_interrupt_kills_and_reaps_children_and_restores_blas(shards):
+    _, prepared = _prepared(4)
+    shards(2)
+    get_threads, set_threads = training._openblas()
+    original = get_threads()
+    set_threads(3)  # not 1, so that a missing restore shows
+    before = get_threads()
+    seen = []
+
+    def interrupted(lo, hi):
+        if lo > 0:
+            time.sleep(60)  # killed by the parent long before this ends
+            return []
+        seen.append(get_threads())
+        raise KeyboardInterrupt
+
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            training._run_sharded(prepared, interrupted, None)
+        after = get_threads()
+    finally:
+        set_threads(original)
+    assert time.perf_counter() - t0 < 30
+    assert seen == [1]
+    assert after == before
+    _no_children_left()
