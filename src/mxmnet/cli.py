@@ -668,7 +668,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (
         ConfigError,
-        FileNotFoundError,
+        OSError,
         KeyError,
         ValueError,
         FloatingPointError,

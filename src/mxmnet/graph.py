@@ -34,22 +34,35 @@ __all__ = [
 # distance rule for bonds, in Angstrom.
 BOND_SLACK = 0.3
 
-# Above this many points neighbor_search switches to a uniform grid.
-_BRUTE_LIMIT = 512
+# Rows per block of the pair scan: each block holds a (rows, n, 3)
+# difference array, so memory grows linearly in the atom count.
+_BLOCK_ROWS = 512
 
 
-def _sorted_edges(src, dst):
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    order = np.lexsort((src, dst))
-    return np.stack([src[order], dst[order]], axis=1)
+def _close_pairs(pts: np.ndarray, close) -> np.ndarray:
+    """Directed pairs (j, i) picked by ``close``, sorted by (i, j).
+
+    Scans exact squared distances ``_BLOCK_ROWS`` rows at a time: for rows
+    lo.. of a block, ``close(lo, d2)`` gets their (rows, n) squared
+    distances to every point and returns a mask of the pairs to keep.
+    Blocks ascend and ``np.nonzero`` lists each row's columns in order, so
+    the pairs come out sorted.
+    """
+    parts = [np.empty((0, 2), dtype=np.int64)]  # so no points give (0, 2)
+    for lo in range(0, pts.shape[0], _BLOCK_ROWS):
+        diff = pts[lo : lo + _BLOCK_ROWS, None, :] - pts[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # before ``close`` makes its own block-sized arrays
+        i, j = np.nonzero(close(lo, d2))
+        parts.append(np.stack([j, i + lo], axis=1))
+    return np.concatenate(parts)
 
 
 def neighbor_search(coords, cutoff: float) -> np.ndarray:
     """Directed pairs (j, i) with 0 < |r_j - r_i| < cutoff, both directions.
 
-    Exact brute force up to 512 points, a uniform cell grid beyond; both
-    paths return the identical (i, j)-sorted array.
+    An exact scan of every pair, sorted by (i, j).  The squared distances
+    are exactly symmetric, so the pair set is too.
     """
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -57,51 +70,10 @@ def neighbor_search(coords, cutoff: float) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("coordinates must be finite")
     cutoff = float(cutoff)
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    n = pts.shape[0]
-    if n <= _BRUTE_LIMIT:
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        mask = (d2 > 0.0) & (d2 < cutoff * cutoff)
-        # d2 is exactly symmetric, and nonzero lists (i, j) in row-major
-        # order, which is the (i, j) sort already.
-        i, j = np.nonzero(mask)
-        return np.stack([j, i], axis=1)
-    return _cell_list_search(pts, cutoff)
-
-
-def _cell_list_search(pts: np.ndarray, cutoff: float) -> np.ndarray:
-    lo = pts.min(axis=0)
-    cell = np.floor((pts - lo) / cutoff).astype(np.int64)
-    buckets: dict[tuple, list[int]] = {}
-    for idx, c in enumerate(map(tuple, cell)):
-        buckets.setdefault(c, []).append(idx)
-    for c in buckets:
-        buckets[c] = np.asarray(buckets[c], dtype=np.int64)
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-    ]
-    src_parts, dst_parts = [], []
+    if not 0 < cutoff < np.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     c2 = cutoff * cutoff
-    for c, members in buckets.items():
-        cand = [
-            buckets[(c[0] + dx, c[1] + dy, c[2] + dz)]
-            for dx, dy, dz in offsets
-            if (c[0] + dx, c[1] + dy, c[2] + dz) in buckets
-        ]
-        cand = np.concatenate(cand)
-        diff = pts[members][:, None, :] - pts[cand][None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        ii, jj = np.nonzero((d2 > 0.0) & (d2 < c2))
-        dst_parts.append(members[ii])
-        src_parts.append(cand[jj])
-    if not src_parts:
-        return np.empty((0, 2), dtype=np.int64)
-    return _sorted_edges(np.concatenate(src_parts), np.concatenate(dst_parts))
+    return _close_pairs(pts, lambda lo, d2: (d2 > 0.0) & (d2 < c2))
 
 
 # Covalent radius by atomic number; row 0 is unused.
@@ -110,10 +82,10 @@ _RADII = np.array(
 )
 
 
-def _covalent_mask(m: Molecule) -> np.ndarray:
-    """Symmetric (n, n) mask of the covalent-radius rule, false on the diagonal.
+def _covalent_bonds(m: Molecule) -> np.ndarray:
+    """Directed edges of the covalent-radius rule, sorted by (i, j).
 
-    Atoms i, j bond when |r_i - r_j| < r_cov(i) + r_cov(j) + BOND_SLACK.
+    Atoms i != j bond when |r_i - r_j| < r_cov(i) + r_cov(j) + BOND_SLACK.
     """
     z = m.atomic_numbers
     if z.max() > elements.MAX_Z:
@@ -121,11 +93,14 @@ def _covalent_mask(m: Molecule) -> np.ndarray:
         # ValueError that names the element.
         elements.covalent_radius(int(z.max()))
     radii = _RADII[z]
-    diff = m.coords[:, None, :] - m.coords[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    mask = dist < radii[:, None] + radii[None, :] + BOND_SLACK
-    np.fill_diagonal(mask, False)
-    return mask
+
+    def close(lo, d2):
+        mask = np.sqrt(d2) < radii[lo : lo + d2.shape[0], None] + radii[None, :] + BOND_SLACK
+        # The block's rows are atoms lo.., so its diagonal starts at column lo.
+        np.fill_diagonal(mask[:, lo:], False)
+        return mask
+
+    return _close_pairs(m.coords, close)
 
 
 @dataclass
@@ -178,15 +153,11 @@ def build_multiplex(
     """
     if local_rule == "bonds":
         if m.bonds is None:
-            # The mask is symmetric, so its nonzeros come sorted by (i, j).
-            i, j = np.nonzero(_covalent_mask(m))
-            local = np.stack([j, i], axis=1)
+            local = _covalent_bonds(m)
         elif m.bonds:
             a = np.asarray(m.bonds, dtype=np.int64)
-            local = _sorted_edges(
-                np.concatenate([a[:, 0], a[:, 1]]),
-                np.concatenate([a[:, 1], a[:, 0]]),
-            )
+            local = np.concatenate([a, a[:, ::-1]])
+            local = local[np.argsort(_edge_keys(local, m.n_atoms))]
         else:
             local = np.empty((0, 2), dtype=np.int64)
         rule = "bonds"

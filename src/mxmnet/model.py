@@ -462,7 +462,8 @@ def load_checkpoint(path) -> ParamStore:
             if not head:
                 raise ValueError(f"{path}: truncated checkpoint")
             name = head[0]
-            ndim = int(head[1])
+            # A name alone matches no dimension count: malformed.
+            ndim = int(head[1]) if len(head) > 1 else -1
             shape = tuple(int(x) for x in head[2 : 2 + ndim])
             if len(shape) != ndim:
                 raise ValueError(f"{path}: malformed record for {name!r}")

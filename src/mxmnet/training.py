@@ -51,8 +51,18 @@ __all__ = [
 
 
 def prepare_all(molecules, cfg: ModelConfig):
-    """Graph + features per molecule, in input order."""
-    return [prepare_inputs(m, cfg) for m in molecules]
+    """Graph + features per molecule, in input order.
+
+    A molecule that cannot be featurized raises ``ValueError`` with its key
+    in front of the reason.
+    """
+    prepared = []
+    for m in molecules:
+        try:
+            prepared.append(prepare_inputs(m, cfg))
+        except ValueError as e:
+            raise ValueError(f"molecule {m.key!r}: {e}") from e
+    return prepared
 
 
 @dataclass

@@ -15,6 +15,7 @@ import pytest
 from mxmnet import cli, fixtures
 from mxmnet.cli import ConfigError, parse_config, run_bench
 from mxmnet.data import (
+    Molecule,
     load_atomrefs,
     load_manifest,
     load_molecule,
@@ -366,6 +367,47 @@ def test_eval_missing_checkpoint_fails(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["train --config", "eval --checkpoint", "manifest line"])
+def test_a_directory_in_place_of_a_file_fails_with_one_line(tmp_path, capsys, where):
+    manifest = _overfit_manifest(tmp_path)
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", test_frac=0.25, val_frac=0.0)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    (tmp_path / "dirs.txt").write_text("folder\n")
+    argv = {
+        "train --config": ["train", "--config", str(folder)],
+        "eval --checkpoint": ["eval", "--config", cfg, "--checkpoint", str(folder)],
+        "manifest line": ["featurize", "--config", _write_config(
+            tmp_path / "f.cfg", manifest=tmp_path / "dirs.txt", out=tmp_path / "out"
+        )],
+    }[where]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(folder) in err
+
+
+@pytest.mark.parametrize("command", ["featurize", "train", "eval"])
+def test_featurization_error_names_the_molecule(tmp_path, capsys, command):
+    mols = fixtures.overfit_set(8, seed=7)
+    mols[5] = Molecule([1, 1], [[0.0, 0.0, 0.0]] * 2, targets={"u0": 0.5}, key="dup")
+    manifest = fixtures.write_molecule_dir(mols, tmp_path / "mols")
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run")
+    argv = [command, "--config", cfg]
+    if command == "eval":
+        # every molecule in the evaluated split
+        cfg = _train_cfg_file(
+            tmp_path, manifest, tmp_path / "run", train_frac=0.0, val_frac=0.0, test_frac=1.0
+        )
+        ckpt = str(tmp_path / "one.ckpt")
+        save_checkpoint(init_params(ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)), ckpt)
+        argv = [command, "--config", cfg, "--checkpoint", ckpt]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: molecule 'dup.extxyz': distances must be strictly positive\n"
 
 
 @pytest.mark.parametrize("flags", [["--dl", "nan"], ["--dg", "inf"]])

@@ -1,5 +1,7 @@
 """Two-layer graph construction, angle triples and message counting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,8 @@ def test_neighbor_search_matches_all_pairs_scan():
 
 
 def test_cell_list_path_matches_all_pairs_scan():
-    # above the brute-force size threshold the grid walk must agree exactly
+    # 600 points take two row blocks of the pair scan; their pairs must
+    # join into the one exact, sorted list
     rng = np.random.default_rng(31)
     pts = fixtures.random_points(600, 14.0, rng)
     got = neighbor_search(pts, 2.0)
@@ -61,6 +64,11 @@ def test_neighbor_search_rejects_bad_input():
         neighbor_search(np.array([[0.0, 0.0, np.nan]]), 2.0)
     with pytest.raises(ValueError):
         neighbor_search(np.zeros((2, 3)), 0.0)
+    for cutoff in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            neighbor_search(np.zeros((2, 3)), cutoff)
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_multiplex(fixtures.water(), global_cutoff=np.nan)
 
 
 def _local_bonds(m):
@@ -109,10 +117,28 @@ def test_local_bonds_distance_rule():
 
 
 def test_local_bonds_match_pair_loop():
-    for m in _reference_molecules():
+    # 600 atoms take two row blocks of the pair scan
+    large = fixtures.random_molecule(np.random.default_rng(39), n_atoms=600)
+    for m in _reference_molecules() + [large]:
         if m.bonds is not None:
             continue
         assert _local_bonds(m) == _bonds_by_pair_loop(m)
+
+
+def test_bond_rule_peak_memory_stays_bounded():
+    # 2000 carbons at 0.1 atoms per cubic Angstrom; a dense n x n x 3
+    # distance array alone would take 92 MiB
+    rng = np.random.default_rng(40)
+    n = 2000
+    m = Molecule([6] * n, fixtures.random_points(n, (n / 0.1) ** (1 / 3), rng))
+    tracemalloc.start()
+    try:
+        g = build_multiplex(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.local_edges.shape[0] > 0
+    assert peak < 64 * 2**20
 
 
 def test_build_multiplex_water():

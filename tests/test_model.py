@@ -438,6 +438,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(truncated)
 
+    # a record line holding only the parameter's name
+    head, _, rest = blob.partition(b"\n")
+    count, _, rest = rest.partition(b"\n")
+    record, _, rest = rest.partition(b"\n")
+    short = tmp_path / "short_record.ckpt"
+    short.write_bytes(b"\n".join([head, count, record.split()[0], rest]))
+    with pytest.raises(ValueError, match="malformed record"):
+        load_checkpoint(short)
+
     trailing = tmp_path / "trailing.ckpt"
     trailing.write_bytes(blob + b"\0")
     with pytest.raises(ValueError, match="after the last record"):
