@@ -106,8 +106,10 @@ def _parse_bool(raw: str) -> bool:
 
 
 def parse_config(path) -> dict:
-    """Read a flat key=value config; unknown keys are an error."""
+    """Read a flat key=value config; unknown keys and a key given twice are
+    errors."""
     cfg = _defaults()
+    lines = {}  # the line each key was given on
     with open(path, encoding="utf-8") as fh:
         for num, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -120,6 +122,12 @@ def parse_config(path) -> dict:
                 raise ConfigError(f"{path}:{num}: expected key=value, got {line!r}")
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{num}: unknown config key {key!r}")
+            if key in lines:
+                raise ConfigError(
+                    f"{path}:{num}: config key {key!r} given twice, "
+                    f"lines {lines[key]} and {num}"
+                )
+            lines[key] = num
             typ = _KEYS[key].type
             try:
                 if typ is bool:
@@ -263,6 +271,7 @@ def cmd_train(args) -> int:
     result.report.to_csv(os.path.join(out, "report.csv"))
     stats = target_stats(ds, tcfg.target, tcfg.atomrefs)
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN)
     summary = {
         "target": tcfg.target,
         "seed": tcfg.seed,
@@ -273,11 +282,13 @@ def cmd_train(args) -> int:
         "n_parameters": result.params.n_scalars(),
         "checkpoint": ckpt,
         "wall_seconds": wall,
-        # Linux reports ru_maxrss in KiB.  Shard workers are counted apart:
-        # the largest of them, once reaped, is the children's ru_maxrss.
+        # Linux reports ru_maxrss in KiB.  The forked ranks are counted
+        # apart, once reaped: the largest of them is the children's
+        # ru_maxrss, and their faults add up in the children's ru_minflt.
         "peak_rss_mb": usage.ru_maxrss / 1024,
-        "worker_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+        "worker_peak_rss_mb": workers.ru_maxrss / 1024,
         "minor_page_faults": usage.ru_minflt,
+        "worker_minor_page_faults": workers.ru_minflt,
         "train_target_std": stats.std,
     }
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:

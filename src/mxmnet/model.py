@@ -446,25 +446,38 @@ def save_checkpoint(store: ParamStore, path):
 def load_checkpoint(path) -> ParamStore:
     """Read a checkpoint back; byte-exact inverse of :func:`save_checkpoint`.
 
-    Raises ``ValueError`` for a malformed or truncated file, a non-finite
-    value (naming its parameter) and bytes after the last record.
+    Raises ``ValueError`` naming the file for a malformed or truncated
+    file (a header field that is not an integer, a negative record count),
+    a non-finite value (naming its parameter) and bytes after the last
+    record.
     """
+
+    def integer(raw: str, what: str) -> int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"{path}: {what} is not an integer: {raw!r}") from None
+
     store = ParamStore()
     with open(path, "rb") as fh:
         magic = fh.readline().decode().split()
         if len(magic) != 2 or magic[0] != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        if int(magic[1]) != _CKPT_VERSION:
+        if integer(magic[1], "the version") != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {magic[1]}")
-        count = int(fh.readline())
+        count = integer(fh.readline().decode().strip(), "the record count")
+        if count < 0:
+            raise ValueError(f"{path}: negative record count {count}")
         for _ in range(count):
             head = fh.readline().decode().split()
             if not head:
                 raise ValueError(f"{path}: truncated checkpoint")
             name = head[0]
             # A name alone matches no dimension count: malformed.
-            ndim = int(head[1]) if len(head) > 1 else -1
-            shape = tuple(int(x) for x in head[2 : 2 + ndim])
+            ndim = -1
+            if len(head) > 1:
+                ndim = integer(head[1], f"the dimension count of {name!r}")
+            shape = tuple(integer(x, f"a dimension of {name!r}") for x in head[2 : 2 + ndim])
             if len(shape) != ndim:
                 raise ValueError(f"{path}: malformed record for {name!r}")
             n = int(np.prod(shape)) if shape else 1

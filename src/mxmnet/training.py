@@ -6,9 +6,12 @@ per molecule, losses scaled by 1/group so grads accumulate to the mean).
 Validation always runs on the exponential moving average of the weights;
 the best-validation EMA snapshot is what training returns and checkpoints.
 
-A step's group and an ``evaluate`` call are split into contiguous shards,
-one per usable core, when each shard gets enough work; shards past the
-first run in forked processes (see ``_run_sharded``).
+Work is split into contiguous shards across a rank group of processes,
+one per usable core, when each gets enough work (see ``_RankGroup``).
+``train`` forks its ranks once, after featurization; each builds the same
+parameters, sums its shard's gradients into one shared vector, and applies
+the same Adam and EMA update to its own replica.  A standalone
+``evaluate`` forks once for its call.
 
 Everything is seeded and single-run deterministic: two runs with the same
 dataset, config, seeds and usable core count produce identical reports
@@ -17,9 +20,11 @@ apart from wall time.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -31,7 +36,14 @@ import numpy as np
 from .autodiff import Tape, Tensor, abs_val, backward, mul, scale, sub
 from .data import Dataset, subtract_atomrefs
 from .graph import count_messages
-from .model import ModelConfig, ParamStore, forward, init_params, prepare_inputs
+from .model import (
+    ModelConfig,
+    ParamStore,
+    _param_layout,
+    forward,
+    init_params,
+    prepare_inputs,
+)
 
 __all__ = [
     "TrainConfig",
@@ -264,31 +276,34 @@ def evaluate(
     prepared,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
+    ranks: _RankGroup | None = None,
 ):
     """Predictions and truths over a molecule list, no tape, fixed weights.
 
     A non-finite prediction raises ``FloatingPointError`` naming the
-    molecule.  The molecules may be split across processes (see
-    ``_run_sharded``); each prediction is the same either way.
+    molecule.  The molecules are split across the processes of ``ranks``,
+    the rank group of a running ``train`` whose every rank makes the same
+    call; without it the call opens a group of its own when the work is
+    large enough (``_plan_ranks``).  Each prediction is the same either way.
     """
-    preds = np.empty(len(molecules), dtype=np.float64)
-    truth = np.empty(len(molecules), dtype=np.float64)
+    n = len(molecules)
+    costs = _message_costs(prepared)
 
-    def predict(lo, hi):
+    def predict(lo, hi, rows):
         for k in range(lo, hi):
             m = molecules[k]
-            preds[k] = forward(m, params, model_cfg, feats=prepared[k][1]).item()
-            if not math.isfinite(preds[k]):
+            rows[1, k] = forward(m, params, model_cfg, feats=prepared[k][1]).item()
+            if not math.isfinite(rows[1, k]):
                 raise FloatingPointError(f"non-finite prediction for molecule {m.key!r}")
-            truth[k] = subtract_atomrefs(m, train_cfg.target, train_cfg.atomrefs)
-        return [preds[lo:hi], truth[lo:hi]]
+            rows[2, k] = subtract_atomrefs(m, train_cfg.target, train_cfg.atomrefs)
 
-    def absorb(lo, hi, read):
-        preds[lo:hi] = read(hi - lo)
-        truth[lo:hi] = read(hi - lo)
-
-    _run_sharded(prepared, predict, absorb)
-    return preds, truth
+    if ranks is None:
+        group = _RankGroup(_plan_ranks(costs), 0, n)
+    else:
+        group = contextlib.nullcontext(ranks)
+    with group as ranks:
+        rows = ranks.run(costs, predict)
+        return rows[1, :n].copy(), rows[2, :n].copy()
 
 
 def train(
@@ -299,6 +314,11 @@ def train(
     The dataset must be split with a non-empty train subset.  An empty
     validation subset is allowed: validation, early stopping and best-model
     tracking then degrade to keeping the final EMA weights.
+
+    When the heaviest possible step holds enough work for several cores
+    (``_plan_ranks``), the run forks once, after featurization: every rank
+    builds the same parameters and runs this loop over its shard of each
+    step, validation and the final evaluation (see ``_RankGroup``).
     """
     if ds.split is None:
         raise ValueError("dataset must be split before training")
@@ -312,122 +332,120 @@ def train(
     for m in val_mols:
         subtract_atomrefs(m, target, refs)
 
-    params = init_params(model_cfg, train_cfg.seed)
-    state = AdamState(params)
-    ema = EmaWeights(params, train_cfg.ema_decay)
-
     train_prep = prepare_all(train_mols, model_cfg)
     val_prep = prepare_all(val_mols, model_cfg)
 
     n = len(train_mols)
     group = min(train_cfg.batch_group, n)
     steps_per_epoch = math.ceil(n / group)
-    rng = np.random.default_rng(train_cfg.seed)
+    costs = _message_costs(train_prep)
+    n_grads = sum(math.prod(shape) for _, shape, _ in _param_layout(model_cfg))
+    size = _plan_ranks(sorted(costs)[-group:])
 
-    report = TrainReport()
-    best: ParamStore | None = None
-    best_val = math.inf
-    since_best = 0
+    # Everything from here on is built by each rank for itself.
+    with _RankGroup(size, n_grads, max(n, len(val_mols))) as ranks:
+        params = init_params(model_cfg, train_cfg.seed)
+        state = AdamState(params)
+        ema = EmaWeights(params, train_cfg.ema_decay)
+        rng = np.random.default_rng(train_cfg.seed)
 
-    for epoch in range(train_cfg.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        losses = np.empty(n, dtype=np.float64)
-        lr = 0.0
-        for lo in range(0, n, group):
-            chunk = order[lo : lo + group]
-            params.zero_grads()
+        report = TrainReport()
+        best: ParamStore | None = None
+        best_val = math.inf
+        since_best = 0
 
-            def accumulate(a, b, chunk=chunk):
-                for idx in chunk[a:b]:
-                    m = train_mols[idx]
-                    with Tape() as tape:
-                        y = forward(m, params, model_cfg, feats=train_prep[idx][1])
-                        err = sub(y, _scalar(truths[idx]))
-                        loss = abs_val(err) if train_cfg.loss == "mae" else mul(err, err)
-                        scaled = scale(loss, 1.0 / len(chunk))
-                    backward(scaled, tape)
-                    val = loss.item()
-                    if not math.isfinite(val):
-                        raise FloatingPointError(
-                            f"non-finite loss for molecule {m.key!r} at epoch {epoch}"
-                        )
-                    losses[idx] = val
-                grads = (p.grad if p.grad is not None else np.zeros_like(p.data)
-                         for _, p in params.items())
-                return [losses[chunk[a:b]], *grads]
+        for epoch in range(train_cfg.epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(n)
+            losses = np.empty(n, dtype=np.float64)
+            lr = 0.0
+            for lo in range(0, n, group):
+                chunk = order[lo : lo + group]
 
-            def absorb(a, b, read, chunk=chunk):
-                # A shard's gradient sum is added to this process's own,
-                # one parameter at a time.
-                losses[chunk[a:b]] = read(b - a)
-                for _, p in params.items():
-                    g = read(p.data.shape)
-                    if p.grad is None:
-                        p.grad = g
-                    else:
-                        p.grad += g
+                def accumulate(a, b, rows, chunk=chunk):
+                    for pos in range(a, b):
+                        idx = chunk[pos]
+                        m = train_mols[idx]
+                        with Tape() as tape:
+                            y = forward(m, params, model_cfg, feats=train_prep[idx][1])
+                            err = sub(y, _scalar(truths[idx]))
+                            loss = abs_val(err) if train_cfg.loss == "mae" else mul(err, err)
+                            scaled = scale(loss, 1.0 / len(chunk))
+                        backward(scaled, tape)
+                        rows[0, pos] = loss.item()
+                        if not math.isfinite(rows[0, pos]):
+                            raise FloatingPointError(
+                                f"non-finite loss for molecule {m.key!r} at epoch {epoch}"
+                            )
 
-            _run_sharded([train_prep[i] for i in chunk], accumulate, absorb)
-            lr = lr_at(
-                state.step,
-                steps_per_epoch,
-                train_cfg.base_lr,
-                train_cfg.warmup_epochs,
-                train_cfg.decay_ratio,
-                train_cfg.decay_epochs,
+                rows = ranks.run([costs[i] for i in chunk], accumulate, params)
+                losses[chunk] = rows[0, : len(chunk)]
+                lr = lr_at(
+                    state.step,
+                    steps_per_epoch,
+                    train_cfg.base_lr,
+                    train_cfg.warmup_epochs,
+                    train_cfg.decay_ratio,
+                    train_cfg.decay_epochs,
+                )
+                adam_step(params, state, lr)
+                ema.update(params)
+            val_mae = math.nan
+            if val_mols:
+                preds, vt = evaluate(
+                    ema.shadow, val_mols, val_prep, model_cfg, train_cfg, ranks
+                )
+                val_mae = float(np.mean(np.abs(preds - vt)))
+            report.epochs.append(
+                EpochStats(
+                    epoch=epoch,
+                    train_loss=float(losses.mean()),
+                    val_mae=val_mae,
+                    lr=lr,
+                    seconds=time.perf_counter() - t0,
+                )
             )
-            adam_step(params, state, lr)
-            ema.update(params)
-        val_mae = math.nan
-        if val_mols:
-            preds, vt = evaluate(ema.shadow, val_mols, val_prep, model_cfg, train_cfg)
-            val_mae = float(np.mean(np.abs(preds - vt)))
-        report.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=float(losses.mean()),
-                val_mae=val_mae,
-                lr=lr,
-                seconds=time.perf_counter() - t0,
-            )
-        )
-        if val_mols:
-            if val_mae < best_val:
-                best_val = val_mae
-                best = ema.shadow.copy()
-                report.best_epoch = epoch
-                report.best_val_mae = val_mae
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= train_cfg.patience:
-                    break
+            if val_mols:
+                if val_mae < best_val:
+                    best_val = val_mae
+                    best = ema.shadow.copy()
+                    report.best_epoch = epoch
+                    report.best_val_mae = val_mae
+                    since_best = 0
+                else:
+                    since_best += 1
+                    if since_best >= train_cfg.patience:
+                        break
 
-    if best is None:
-        best = ema.shadow.copy()
-        if report.epochs:
-            report.best_epoch = report.epochs[-1].epoch
-    preds, tt = evaluate(best, train_mols, train_prep, model_cfg, train_cfg)
-    report.final_train_mae = float(np.mean(np.abs(preds - tt)))
-    return TrainResult(report=report, params=best)
+        if best is None:
+            best = ema.shadow.copy()
+            if report.epochs:
+                report.best_epoch = report.epochs[-1].epoch
+        preds, tt = evaluate(best, train_mols, train_prep, model_cfg, train_cfg, ranks)
+        report.final_train_mae = float(np.mean(np.abs(preds - tt)))
+        return TrainResult(report=report, params=best)
 
 
 def _scalar(x: float) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-# --- shards ------------------------------------------------------------------
+# --- rank group --------------------------------------------------------------
 
-# Fewest closed-form messages per block (``graph.count_messages``) that a
-# shard must get: about eight QM9-sized molecules, which with bonds as the
-# local layer have about 900 each.  At 260 MB RSS a fork and its reap cost
-# about 10 ms, and the copy-on-write faults it leaves on the next writes to
-# the parameters and the heap about 35 ms more.
+# Fewest closed-form messages per block (``graph.count_messages``) that each
+# rank must get from a train run's heaviest step, or from a standalone
+# ``evaluate``, for the work to fork: about eight QM9-sized molecules, which
+# with bonds as the local layer have about 900 each.  At 260 MB RSS a fork
+# and its reap cost about 10 ms, and the copy-on-write faults it leaves on
+# the heap about 35 ms more.
 _MIN_SHARD_MESSAGES = 7_500
 
-# A child's first byte: its arrays follow, or a pickled exception does.
-_DONE, _FAILED = b"K", b"E"
+# One byte per message on the pipes.  Up, from a rank to rank 0: its shard
+# is done; it no longer reads the summed gradient; or it failed, and an
+# 8-byte length and the pickled exception follow.  Down, from rank 0: add
+# your gradient now; every rank's results are in.
+_DONE, _FREED, _FAILED = b"K", b"F", b"E"
+_ADD, _READY = b"A", b"R"
 
 
 def _usable_cores() -> int:
@@ -466,6 +484,10 @@ def _openblas():
     return None
 
 
+def _message_costs(prepared) -> list[int]:
+    return [count_messages(g, feats).total for g, feats in prepared]
+
+
 def _shard_bounds(costs, n_shards: int) -> list[tuple[int, int]]:
     """Contiguous ``[lo, hi)`` ranges covering ``costs``, with cost sums as
     even as whole items allow; empty ranges are dropped."""
@@ -474,141 +496,256 @@ def _shard_bounds(costs, n_shards: int) -> list[tuple[int, int]]:
     cuts = np.searchsorted(prefix, targets)
     # Step back one item where that lands nearer the target.
     cuts -= (targets - prefix[cuts - 1]) < (prefix[cuts] - targets)
-    edges = np.unique(np.concatenate(([0], cuts, [len(costs)])))
-    return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    # A set, not np.unique: its first call imports numpy.ma, about 30 ms.
+    edges = sorted({0, len(costs), *cuts.tolist()})
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def _plan_shards(prepared) -> list[tuple[int, int]]:
-    """One shard per usable core, each with at least ``_MIN_SHARD_MESSAGES``;
-    one shard where no OpenBLAS thread count can be pinned (MKL,
-    Accelerate, hosts without ``/proc``, which also lack ``os.fork``)."""
-    whole = [(0, len(prepared))]
+def _plan_ranks(costs) -> int:
+    """Ranks for work of these costs: one per usable core, each with at
+    least ``_MIN_SHARD_MESSAGES``; one where no OpenBLAS thread count can be
+    pinned (MKL, Accelerate, hosts without ``/proc``, which also lack
+    ``os.fork``)."""
     cores = _usable_cores()
     if cores < 2 or _openblas() is None:
-        return whole
-    costs = [count_messages(g, feats).total for g, feats in prepared]
-    n_shards = min(cores, sum(costs) // _MIN_SHARD_MESSAGES)
-    return _shard_bounds(costs, n_shards) if n_shards > 1 else whole
+        return 1
+    return max(1, min(cores, sum(costs) // _MIN_SHARD_MESSAGES))
 
 
-class _Child:
-    """A forked shard: its pid, its range and the read end of its pipe."""
-
-    def __init__(self, work, lo, hi):
-        self.lo, self.hi = lo, hi
-        self.status = None
-        r, w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-        if self.pid == 0:
-            os.close(r)
-            _serve(work, lo, hi, w)  # never returns
-        os.close(w)
-        self.pipe = open(r, "rb", buffering=0)
-
-    def receive(self, absorb):
-        """Hand the child's arrays to ``absorb``, or raise what it raised."""
-        tag = self.pipe.read(1)
-        if tag == _FAILED:
-            raise pickle.loads(self.pipe.readall())
-        if tag != _DONE:
-            self._died()
-
-        def read(shape):
-            out = np.empty(shape, dtype=np.float64)
-            view = memoryview(out.reshape(-1)).cast("B")
-            got = 0
-            while got < len(view):
-                n = self.pipe.readinto(view[got:])
-                if not n:
-                    self._died()
-                got += n
-            return out
-
-        absorb(self.lo, self.hi, read)
-
-    def _died(self):
-        code = os.waitstatus_to_exitcode(self.reap(kill=False))
-        how = f"signal {-code}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(
-            f"shard worker for items {self.lo}-{self.hi - 1} ended without a result ({how})"
-        )
-
-    def reap(self, kill: bool) -> int:
-        """Wait for the child, killing it first if asked; once only."""
-        if self.status is None:
-            if kill:
-                os.kill(self.pid, signal.SIGKILL)
-            self.status = os.waitpid(self.pid, 0)[1]
-        return self.status
+def _read_exact(fd, n: int) -> bytes:
+    """``n`` bytes from ``fd``; fewer only where the writer has gone."""
+    parts = []
+    while n:
+        part = os.read(fd, n)
+        if not part:
+            break
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
 
 
-def _serve(work, lo, hi, fd):
-    """The body of a forked shard: run ``work``, write its result to ``fd``
-    and leave through ``os._exit``, so nothing of the parent's (atexit
-    handlers, buffered output, test runners) runs twice."""
-    code = 1
-    try:
-        with open(fd, "wb") as fh:
-            try:
-                arrays = work(lo, hi)
-            except Exception as e:  # sent to the parent, which raises it
-                try:
-                    blob = pickle.dumps(e)
-                except (pickle.PicklingError, TypeError, AttributeError):
-                    blob = pickle.dumps(RuntimeError(f"{type(e).__name__}: {e}"))
-                fh.write(_FAILED + blob)
-            else:
-                fh.write(_DONE)
-                for a in arrays:
-                    a = np.ascontiguousarray(a, dtype=np.float64)
-                    fh.write(memoryview(a.reshape(-1)).cast("B"))
-        code = 0
-    finally:
-        os._exit(code)
+def _write_all(fd, data: bytes):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
-def _run_sharded(prepared, work, absorb):
-    """Run ``work(lo, hi)`` over contiguous shards of a molecule list.
+class _RankGroup:
+    """``size`` processes that run the same code, each over its own shards.
 
-    ``prepared`` holds the list's ``(graph, features)`` pairs; shards are
-    balanced by closed-form message counts (``_plan_shards``).  This
-    process runs shard 0 itself.  Each other shard runs in an ``os.fork()``
-    child, which inherits parameters and features copy-on-write and sends
-    the float64 arrays its ``work`` returns over a pipe; ``absorb(lo, hi,
-    read)`` takes them in shard order, ``read(shape)`` giving the next one.
-    With one shard, ``work`` simply runs here.
+    Entering forks ranks 1 to ``size - 1`` (none for one rank), with BLAS
+    pinned to one thread until the group closes: two processes on two
+    cores with two BLAS threads each ran several times slower than one
+    process.  Each new rank carries on from the ``with`` statement like
+    rank 0 and leaves through ``os._exit`` at its end, so only rank 0
+    returns from it, and nothing of the caller's (atexit handlers, buffered
+    output, test runners) runs twice.  What a rank builds inside the block
+    is its own.  The ranks share one ``MAP_SHARED`` anonymous mapping made
+    before the fork: a flat float64 gradient vector of ``n_grads`` values in
+    parameter order, and two sets of three rows of ``n_rows`` values
+    (losses, predictions, truths), which alternate between calls of ``run``
+    so that no rank writes a set another may still read.
 
-    An exception in a shard is raised here with its type and message, and
-    shards report in order, so the earliest failing item wins.  A child
-    that ends without a result raises ``ChildProcessError``.  Children are
-    always reaped, and killed first if this process fails or is
-    interrupted.  BLAS is pinned to one thread from before the fork until
-    the children are reaped: two processes on two cores with two BLAS
-    threads each ran several times slower than one process.
+    A rank's exception reaches rank 0 at the next barrier, ranks in order,
+    so the earliest failing shard's wins; a rank that ends without a result
+    raises ``ChildProcessError``.  Rank 0 always reaps the other ranks, and
+    SIGKILLs them first when it leaves the block by an exception or an
+    interrupt.
     """
-    shards = _plan_shards(prepared)
-    if len(shards) == 1:
-        work(0, len(prepared))
-        return
-    get_threads, set_threads = _openblas()
-    threads = get_threads()
-    set_threads(1)
-    children = []
-    finished = False
-    try:
-        for lo, hi in shards[1:]:
-            children.append(_Child(work, lo, hi))
-        work(*shards[0])
-        for child in children:
-            child.receive(absorb)
-        finished = True
-    finally:
-        for child in children:
-            child.pipe.close()
-            child.reap(kill=not finished)
-        set_threads(threads)
+
+    def __init__(self, size: int, n_grads: int, n_rows: int):
+        self.size = size
+        self.rank = 0
+        words = n_grads + 6 * n_rows
+        if size > 1:
+            mem = mmap.mmap(-1, 8 * max(words, 1), flags=mmap.MAP_SHARED)
+            flat = np.frombuffer(mem, dtype=np.float64, count=words)
+        else:
+            # Nothing to share: heap memory, which the next run reuses
+            # without faulting a fresh mapping in.
+            flat = np.empty(words)
+        self._grad = flat[:n_grads]
+        self._rows = flat[n_grads:].reshape(2, 3, n_rows)
+        self._turn = 0
+        self._views = None  # self._grad per parameter, once there are any
+        # Set from a gradient sum until the next ``run``: the other ranks may
+        # still read the sum (Adam does), so rank 0 must not clear it yet.
+        self._lent = False
+        self._others = []  # rank 0: (pid, down fd, up fd) of ranks 1, 2, ...
+        self._status = {}  # rank 0: wait status of each reaped rank
+        self._pipe = None  # rank k > 0: its (down fd, up fd)
+        self._threads = None
+
+    def __enter__(self):
+        if self.size > 1:
+            get_threads, set_threads = _openblas()
+            self._threads = get_threads()
+            set_threads(1)
+            try:
+                for rank in range(1, self.size):
+                    if self._fork(rank):
+                        break
+            except BaseException:
+                self._close(kill=True)
+                raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.rank:
+            os._exit(0 if exc_type is None else 1)
+        if self.size > 1:
+            self._close(kill=exc_type is not None)
+        return False
+
+    def _fork(self, rank: int) -> bool:
+        """Start ``rank``; True in the new process."""
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (down_r, down_w, up_r, up_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            try:
+                # Rank 0's ends, so that each pipe has one reader and one writer.
+                for _, down, up in self._others:
+                    os.close(down)
+                    os.close(up)
+                os.close(down_w)
+                os.close(up_r)
+            except BaseException:
+                os._exit(1)
+            self.rank, self._others, self._pipe = rank, [], (down_r, up_w)
+            return True
+        os.close(down_r)
+        os.close(up_w)
+        self._others.append((pid, down_w, up_r))
+        return False
+
+    def _close(self, kill: bool):
+        try:
+            for rank, (_, down, up) in enumerate(self._others, start=1):
+                os.close(down)
+                os.close(up)
+                self._reap(rank, kill)
+        finally:
+            _openblas()[1](self._threads)
+
+    def _reap(self, rank: int, kill: bool) -> int:
+        """Wait for ``rank``, killing it first if asked; once only."""
+        if rank not in self._status:
+            pid = self._others[rank - 1][0]
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            self._status[rank] = os.waitpid(pid, 0)[1]
+        return self._status[rank]
+
+    # --- messages ------------------------------------------------------------
+
+    def _tell(self, rank: int, msg: bytes):
+        try:
+            os.write(self._others[rank - 1][1], msg)
+        except BrokenPipeError:
+            pass  # the rank has ended; its answer, or its absence, says how
+
+    def _hear(self, rank: int, want: bytes):
+        """Take ``rank``'s next message, which must be ``want``; raise the
+        exception the rank sent instead, or ``ChildProcessError`` if it
+        ended."""
+        up = self._others[rank - 1][2]
+        tag = os.read(up, 1)
+        if tag == _FAILED:
+            size = int.from_bytes(_read_exact(up, 8), "little")
+            blob = _read_exact(up, size)
+            if len(blob) == size:
+                raise pickle.loads(blob)
+        elif tag == want:
+            return
+        code = os.waitstatus_to_exitcode(self._reap(rank, kill=bool(tag)))
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(f"rank {rank} of {self.size} ended without a result ({how})")
+
+    def _send(self, msg: bytes):
+        _write_all(self._pipe[1], msg)
+
+    def _await(self, want: bytes):
+        if os.read(self._pipe[0], 1) != want:
+            raise ChildProcessError("rank 0 left the group")
+
+    def _fail(self, e: Exception):
+        try:
+            blob = pickle.dumps(e)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            blob = pickle.dumps(RuntimeError(f"{type(e).__name__}: {e}"))
+        self._send(_FAILED + len(blob).to_bytes(8, "little") + blob)
+
+    # --- work ----------------------------------------------------------------
+
+    def _grad_views(self, params: ParamStore):
+        if self._views is None:
+            shapes = [t.data.shape for _, t in params.items()]
+            cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
+            self._views = [
+                v.reshape(s) for v, s in zip(np.split(self._grad, cuts), shapes)
+            ]
+        return self._views
+
+    def run(self, costs, work, params: ParamStore | None = None):
+        """Run ``work(lo, hi, rows)`` on this rank's shard of a list of
+        items with these costs (contiguous, balanced by ``_shard_bounds``),
+        then wait for every rank's; return ``rows`` filled by all.
+
+        ``rows`` holds a loss, a prediction and a truth per item (rows 0, 1
+        and 2); each rank writes its own items' columns.  With ``params``,
+        ``work`` also accumulates gradients: rank 0's go straight into the
+        shared vector, the others' into their own buffers, which they add to
+        it in rank order.  On return every rank's ``p.grad`` views the total,
+        shard 0 + shard 1 + ..., until the next such call.
+        """
+        rows = self._rows[self._turn]
+        self._turn ^= 1
+        if params is not None:
+            if self.rank == 0:
+                if self._lent:
+                    for rank in range(1, self.size):
+                        self._hear(rank, _FREED)
+                self._grad.fill(0.0)
+                for (_, p), view in zip(params.items(), self._grad_views(params)):
+                    p.grad = view
+            else:
+                params.zero_grads()
+                if self._lent:
+                    self._send(_FREED)
+            self._lent = False
+        bounds = _shard_bounds(costs, self.size)
+        lo, hi = bounds[self.rank] if self.rank < len(bounds) else (len(costs),) * 2
+        try:
+            work(lo, hi, rows)
+        except Exception as e:
+            if self.rank:
+                self._fail(e)
+            raise
+        if self.size > 1:
+            self._meet(params)
+        return rows
+
+    def _meet(self, params: ParamStore | None):
+        if self.rank == 0:
+            for rank in range(1, self.size):
+                if params is not None:
+                    self._tell(rank, _ADD)
+                self._hear(rank, _DONE)
+            for rank in range(1, self.size):
+                self._tell(rank, _READY)
+        else:
+            if params is not None:
+                self._await(_ADD)
+                for (_, p), view in zip(params.items(), self._grad_views(params)):
+                    if p.grad is not None:
+                        view += p.grad
+                    p.grad = view
+            self._send(_DONE)
+            self._await(_READY)
+        self._lent = params is not None

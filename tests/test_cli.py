@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -24,7 +25,13 @@ from mxmnet.data import (
     target_stats,
 )
 from mxmnet.graph import count_angles, enumerate_angle_triples, neighbor_search
-from mxmnet.model import ModelConfig, forward, init_params, save_checkpoint
+from mxmnet.model import (
+    ModelConfig,
+    forward,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mxmnet.training import TrainConfig
 
 
@@ -110,6 +117,16 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
         parse_config(path)
     assert "width" in str(e.value)
     assert ":2" in str(e.value)
+
+
+def test_parse_config_rejects_a_key_given_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("hidden = 8\n# a comment\nlayers = 2\nhidden = 16\n")
+    with pytest.raises(ConfigError) as e:
+        parse_config(path)
+    message = str(e.value)
+    assert "'hidden'" in message and "lines 1 and 4" in message
+    assert message.startswith(f"{path}:4: ")
 
 
 def test_parse_config_rejects_bad_values(tmp_path):
@@ -219,8 +236,9 @@ def test_train_writes_expected_outputs(tmp_path, capsys):
     assert os.path.exists(summary["checkpoint"])
     assert summary["train_target_std"] > 0
     assert math.isfinite(summary["peak_rss_mb"]) and summary["peak_rss_mb"] > 0
-    faults = summary["minor_page_faults"]
-    assert isinstance(faults, int) and not isinstance(faults, bool) and faults >= 0
+    for key in ("minor_page_faults", "worker_minor_page_faults"):
+        faults = summary[key]
+        assert isinstance(faults, int) and not isinstance(faults, bool) and faults >= 0, key
     workers = summary["worker_peak_rss_mb"]
     assert isinstance(workers, float) and math.isfinite(workers) and workers >= 0
 
@@ -462,6 +480,30 @@ def test_eval_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "non-finite value in parameter 'embed/table'" in err
+
+
+@pytest.mark.parametrize(
+    "header, reason",
+    [
+        (b"MXMCKPT 1\n", "the record count is not an integer: ''"),
+        (b"MXMCKPT 1\nmany\n", "the record count is not an integer: 'many'"),
+        (b"MXMCKPT 1\n-3\n", "negative record count -3"),
+        (b"MXMCKPT one\n0\n", "the version is not an integer: 'one'"),
+        (b"MXMCKPT 1\n1\nembed/table two 3 4\n", "dimension count of 'embed/table'"),
+    ],
+)
+def test_eval_rejects_a_malformed_checkpoint_header(tmp_path, capsys, header, reason):
+    manifest = _overfit_manifest(tmp_path)
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", test_frac=0.25, val_frac=0.0)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(header)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: .*{re.escape(reason)}"):
+        load_checkpoint(ckpt)
+    assert cli.main(["eval", "--config", cfg, "--checkpoint", str(ckpt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_verify_passes_on_clean_fixtures(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""Molecule shards across forked processes: same results, no stray children.
+"""Molecule shards across a rank group: same results, one fork, no stray
+children.
 
-Two shards are forced by patching the private core count and minimum work
-per shard.  These tests need an OpenBLAS whose thread count can be set;
+Two or three ranks are forced by patching the private core count and
+minimum work per rank.  These tests need an OpenBLAS whose thread count can be set;
 elsewhere every run stays in one process and they are skipped.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from mxmnet import cli, fixtures, training
-from mxmnet.model import ModelConfig, init_params
+from mxmnet.model import ModelConfig, forward, init_params
 from mxmnet.training import TrainConfig, evaluate, prepare_all, train
 
 from conftest import rel_gap
@@ -87,13 +88,15 @@ def test_shard_bounds_are_contiguous_cover_the_input_and_balance_cost():
 
 def test_small_or_single_core_work_stays_in_one_process(monkeypatch):
     _, prepared = _prepared(4)
-    # Four small molecules are far below the minimum work per shard.
+    costs = training._message_costs(prepared)
+    # Four small molecules are far below the minimum work per rank.
     monkeypatch.setattr(training, "_usable_cores", lambda: 2)
-    assert training._plan_shards(prepared) == [(0, 4)]
+    assert training._plan_ranks(costs) == 1
     monkeypatch.setattr(training, "_MIN_SHARD_MESSAGES", 1)
-    assert training._plan_shards(prepared) == [(0, 2), (2, 4)]
+    assert training._plan_ranks(costs) == 2
+    assert training._shard_bounds(costs, 2) == [(0, 2), (2, 4)]
     monkeypatch.setattr(training, "_usable_cores", lambda: 1)
-    assert training._plan_shards(prepared) == [(0, 4)]
+    assert training._plan_ranks(costs) == 1
 
 
 def test_sharded_evaluate_is_bit_identical_to_one_shard(shards):
@@ -102,7 +105,7 @@ def test_sharded_evaluate_is_bit_identical_to_one_shard(shards):
     tcfg = TrainConfig(target="u0")
     one = evaluate(params, mols, prepared, TINY, tcfg)
     shards(2)
-    assert len(training._plan_shards(prepared)) == 2
+    assert training._plan_ranks(training._message_costs(prepared)) == 2
     two = evaluate(params, mols, prepared, TINY, tcfg)
     for a, b in zip(one, two):
         assert a.tobytes() == b.tobytes()
@@ -113,7 +116,8 @@ def test_sharded_evaluate_is_bit_identical_to_one_shard(shards):
 
 def test_sharded_train_matches_one_shard(shards):
     ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
-    tcfg = TrainConfig(target="u0", epochs=3, base_lr=5e-3, batch_group=6, seed=1)
+    # Steps of four and two molecules.
+    tcfg = TrainConfig(target="u0", epochs=3, base_lr=5e-3, batch_group=4, seed=1)
     one = train(ds, TINY, tcfg)
     shards(2)
     two = train(ds, TINY, tcfg)
@@ -127,6 +131,24 @@ def test_sharded_train_matches_one_shard(shards):
     assert [e.train_loss for e in again.report.epochs] == [
         e.train_loss for e in two.report.epochs
     ]
+    _no_children_left()
+
+
+def test_more_ranks_than_cores_sum_every_gradient(shards):
+    # Four ranks on fewer cores, one or two molecules each per step and six
+    # steps: a gradient added out of turn, cleared before every rank read
+    # it, or read before every rank added to it moves the weights.
+    ds = fixtures.dataset_from(fixtures.overfit_set(12, seed=7), (0.5, 0.5, 0.0), 0)
+    tcfg = TrainConfig(target="u0", epochs=3, base_lr=5e-3, batch_group=4, seed=2)
+    one = train(ds, TINY, tcfg)
+    shards(4)
+    four = train(ds, TINY, tcfg)
+    again = train(ds, TINY, tcfg)
+    for name, t in one.params.items():
+        assert rel_gap(four.params[name].data, t.data) <= 1e-12, name
+        assert again.params[name].data.tobytes() == four.params[name].data.tobytes()
+    for a, b in zip(one.report.epochs, four.report.epochs):
+        assert abs(a.val_mae - b.val_mae) <= 1e-12 * abs(a.val_mae)
     _no_children_left()
 
 
@@ -174,64 +196,111 @@ def test_diverging_sharded_run_names_the_same_molecule(tmp_path, capsys, shards)
     _no_children_left()
 
 
-def test_earliest_failing_shard_wins_with_its_type_and_message(shards):
-    _, prepared = _prepared(6)
-    shards(3)
-    assert len(training._plan_shards(prepared)) == 3
+def test_a_forced_two_rank_train_forks_once(monkeypatch, shards):
+    ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
+    tcfg = TrainConfig(target="u0", epochs=3, batch_group=3, seed=1)
+    forks = []
+    fork = os.fork
 
-    def fail_past_first(lo, hi):
-        if lo > 0:
-            raise KeyError(f"shard at {lo}")
-        return []
+    def counted():
+        forks.append(os.getpid())
+        return fork()
 
-    with pytest.raises(KeyError) as e:
-        training._run_sharded(prepared, fail_past_first, None)
-    first_child = training._plan_shards(prepared)[1][0]
-    assert e.value.args == (f"shard at {first_child}",)
-    _no_children_left()
-
-    def fail_everywhere(lo, hi):
-        raise FloatingPointError(f"shard at {lo}")
-
-    with pytest.raises(FloatingPointError, match="^shard at 0$"):
-        training._run_sharded(prepared, fail_everywhere, None)
-    _no_children_left()
-
-
-def test_a_dying_child_raises_instead_of_hanging(shards):
-    _, prepared = _prepared(4)
     shards(2)
-
-    def die(lo, hi):
-        if lo > 0:
-            os._exit(3)
-        return []
-
-    with pytest.raises(ChildProcessError, match="exit status 3"):
-        training._run_sharded(prepared, die, None)
+    monkeypatch.setattr(os, "fork", counted)
+    train(ds, TINY, tcfg)
+    # Six steps, three validations and the final evaluation, one fork.
+    assert forks == [os.getpid()]
     _no_children_left()
 
 
-def test_interrupt_kills_and_reaps_children_and_restores_blas(shards):
-    _, prepared = _prepared(4)
+def _failing_forward(monkeypatch, fail):
+    """Make ``training.forward`` call ``fail(m)`` before each molecule."""
+
+    def patched(m, *args, **kwargs):
+        fail(m)
+        return forward(m, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", patched)
+
+
+def test_earliest_failing_shard_wins_with_its_type_and_message(monkeypatch, shards):
+    mols, prepared = _prepared(6)
+    params = init_params(TINY, 3)
+    tcfg = TrainConfig(target="u0")
+    shards(3)
+    bounds = training._shard_bounds(training._message_costs(prepared), 3)
+    assert len(bounds) == 3
+    first = {mols[lo].key: rank for rank, (lo, _) in enumerate(bounds)}
+
+    def fail_past_first(m):
+        rank = first.get(m.key, 0)
+        if rank == 1:
+            time.sleep(0.5)  # rank 2 fails first, but rank 1 comes first
+        if rank:
+            raise KeyError(f"molecule {m.key}")
+
+    _failing_forward(monkeypatch, fail_past_first)
+    with pytest.raises(KeyError) as e:
+        evaluate(params, mols, prepared, TINY, tcfg)
+    assert e.value.args == (f"molecule {mols[bounds[1][0]].key}",)
+    _no_children_left()
+
+    def fail_everywhere(m):
+        raise FloatingPointError(f"molecule {m.key}")
+
+    _failing_forward(monkeypatch, fail_everywhere)
+    with pytest.raises(FloatingPointError, match=f"^molecule {mols[0].key}$"):
+        evaluate(params, mols, prepared, TINY, tcfg)
+    _no_children_left()
+
+
+def test_a_dying_child_raises_instead_of_hanging(monkeypatch, shards):
+    ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
+    tcfg = TrainConfig(target="u0", epochs=3, batch_group=4, seed=1)
+    parent = os.getpid()
+    shards(2)
+    seen, last = [], []
+
+    def die(m):
+        if os.getpid() != parent:
+            seen.append(m.key)
+            if len(seen) == last[0]:
+                os._exit(3)
+
+    _failing_forward(monkeypatch, die)
+    # A rank other than 0 dies on its first forward, or during the third
+    # step, after it has added two gradients.
+    for calls in (1, 5):
+        last[:] = [calls]
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            train(ds, TINY, tcfg)
+        _no_children_left()
+
+
+def test_interrupt_kills_and_reaps_children_and_restores_blas(monkeypatch, shards):
+    mols, prepared = _prepared(4)
+    params = init_params(TINY, 3)
+    tcfg = TrainConfig(target="u0")
     shards(2)
     get_threads, set_threads = training._openblas()
     original = get_threads()
     set_threads(3)  # not 1, so that a missing restore shows
     before = get_threads()
+    parent = os.getpid()
     seen = []
 
-    def interrupted(lo, hi):
-        if lo > 0:
-            time.sleep(60)  # killed by the parent long before this ends
-            return []
+    def interrupted(m):
+        if os.getpid() != parent:
+            time.sleep(60)  # killed by rank 0 long before this ends
         seen.append(get_threads())
         raise KeyboardInterrupt
 
+    _failing_forward(monkeypatch, interrupted)
     t0 = time.perf_counter()
     try:
         with pytest.raises(KeyboardInterrupt):
-            training._run_sharded(prepared, interrupted, None)
+            evaluate(params, mols, prepared, TINY, tcfg)
         after = get_threads()
     finally:
         set_threads(original)
