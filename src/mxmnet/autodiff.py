@@ -371,14 +371,17 @@ def _scatter_sum(data, index, num):
     """Sum rows of ``data`` into ``num`` buckets by ``index``.
 
     Each bucket adds its rows in input order; empty buckets come out as
-    zero rows.  Ascending ``index`` (every model caller's) sorts in O(n).
+    zero rows.  An ascending ``index`` (every model caller's) is its own
+    stable sort, so it skips the sort and the reordered copy of ``data``.
     """
     out = np.zeros((num,) + data.shape[1:], dtype=np.float64)
     if index.size:
-        order = np.argsort(index, kind="stable")
-        keys = index[order]
+        keys, rows = index, data
+        if np.any(index[1:] < index[:-1]):
+            order = np.argsort(index, kind="stable")
+            keys, rows = index[order], data[order]
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        out[keys[starts]] = np.add.reduceat(data[order], starts, axis=0)
+        out[keys[starts]] = np.add.reduceat(rows, starts, axis=0)
     return out
 
 

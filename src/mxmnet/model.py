@@ -128,18 +128,47 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def zero_grads(self):
-        for t in self._params.values():
-            t.grad = None
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's name with its part of ``flat``, a float64
+        vector of ``n_scalars()`` values in parameter order; each part is a
+        view shaped like its parameter."""
+        shapes = [t.data.shape for t in self._params.values()]
+        return dict(zip(self._params, _split(flat, shapes)))
 
-    def copy(self) -> "ParamStore":
+    def like(self, flat: np.ndarray) -> "ParamStore":
+        """A store of the same names and shapes whose tensors view their
+        parts of ``flat`` (see ``views``); nothing is copied."""
         out = ParamStore()
-        for name, t in self._params.items():
-            out.add(name, t.data.copy())
+        for name, view in self.views(flat).items():
+            out.add(name, view)
         return out
+
+    def copy(self, out: np.ndarray | None = None) -> "ParamStore":
+        """A copy whose tensors view ``out`` (see ``views``), or one fresh
+        vector when it is not given."""
+        dup = self.like(np.empty(self.n_scalars()) if out is None else out)
+        for (_, t), (_, d) in zip(self.items(), dup.items()):
+            d.data[...] = t.data
+        return dup
 
     def n_scalars(self) -> int:
         return sum(t.data.size for t in self._params.values())
+
+
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the float64 vector ``flat``, one per shape and
+    shaped so, which together cover it exactly."""
+    sizes = [math.prod(s) for s in shapes]
+    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+        raise ValueError(
+            f"need a float64 vector of {sum(sizes)} values, got {flat.dtype} "
+            f"of shape {flat.shape}"
+        )
+    parts, lo = [], 0
+    for shape, size in zip(shapes, sizes):
+        parts.append(flat[lo : lo + size].reshape(shape))
+        lo += size
+    return parts
 
 
 def _mlp_layout(prefix, d_in, d_hidden, d_out):
@@ -197,16 +226,26 @@ def _param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
     return layout
 
 
-def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
+def init_params(
+    cfg: ModelConfig, seed: int = 0, out: np.ndarray | None = None
+) -> ParamStore:
     """Fresh parameters: embedding rows uniform in (-sqrt(3), sqrt(3)),
     weights and biases uniform in (-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
-    Creation order is fixed, so a seed pins every value.
+    Creation order is fixed, so a seed pins every value.  The tensors view
+    consecutive parts of one float64 vector in that order: ``out``, which
+    must hold exactly as many values, or a fresh one.  The values are the
+    same either way.
     """
     rng = np.random.default_rng(seed)
+    layout = _param_layout(cfg)
+    shapes = [shape for _, shape, _ in layout]
+    if out is None:
+        out = np.empty(sum(math.prod(s) for s in shapes))
     store = ParamStore()
-    for name, shape, bound in _param_layout(cfg):
-        store.add(name, rng.uniform(-bound, bound, size=shape))
+    for (name, shape, bound), view in zip(layout, _split(out, shapes)):
+        view[...] = rng.uniform(-bound, bound, size=shape)
+        store.add(name, view)
     return store
 
 

@@ -8,10 +8,11 @@ the best-validation EMA snapshot is what training returns and checkpoints.
 
 Work is split into contiguous shards across a rank group of processes,
 one per usable core, when each gets enough work (see ``_RankGroup``).
-``train`` forks its ranks once, after featurization; each builds the same
-parameters, sums its shard's gradients into one shared vector, and applies
-the same Adam and EMA update to its own replica.  A standalone
-``evaluate`` forks once for its call.
+``train`` forks its ranks once, after featurization.  The ranks share one
+copy of the parameters, Adam's moments, the EMA shadow and the best
+snapshot; each sums its shard's gradients into one shared vector, then
+updates its own slice of the parameters.  A standalone ``evaluate`` forks
+once for its call.
 
 Everything is seeded and single-run deterministic: two runs with the same
 dataset, config, seeds and usable core count produce identical reports
@@ -136,35 +137,47 @@ def lr_at(
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers plus the step counter.
+
+    The moments view their parts of ``m`` and ``v``, float64 vectors of
+    ``store.n_scalars()`` zeros in parameter order (``ParamStore.views``);
+    fresh ones when not given.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, store: ParamStore):
-        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+    def __init__(self, store: ParamStore, m=None, v=None):
+        n = store.n_scalars()
+        self.m = store.views(np.zeros(n) if m is None else m)
+        self.v = store.views(np.zeros(n) if v is None else v)
         self.step = 0
 
 
-def adam_step(store: ParamStore, state: AdamState, lr: float):
+def adam_step(store: ParamStore, state: AdamState, lr: float, part=slice(None)):
     """One bias-corrected Adam update in place; grads are left untouched.
 
-    A parameter with no grad buffer counts as zero gradient.  Non-finite
-    gradients abort with the parameter's name.
+    Only the parameters at ``part``, a slice of the store's order (all by
+    default), and their moments change, so processes that share the
+    vectors can each update their own part.  Every gradient is checked
+    first: a non-finite one aborts with the first such parameter's name,
+    before anything changes.  A parameter with no grad buffer counts as
+    zero gradient.
     """
+    for name, p in store.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for name, p in store.items():
+    for name in store.names()[part]:
+        p = store[name]
         g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
-        elif not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -177,20 +190,24 @@ def adam_step(store: ParamStore, state: AdamState, lr: float):
 class EmaWeights:
     """Exponential moving average of a parameter store.
 
-    Initialized to a copy of the live weights; after every optimizer step
-    ``update`` moves each shadow value by (1 - decay) toward the live one.
+    Initialized to a copy of the live weights, held in ``out`` when given
+    (see ``ParamStore.copy``); after every optimizer step ``update`` moves
+    each shadow value by (1 - decay) toward the live one, for the
+    parameters at ``part`` as in ``adam_step``.
     """
 
-    def __init__(self, store: ParamStore, decay: float = TrainConfig.ema_decay):
+    def __init__(
+        self, store: ParamStore, decay: float = TrainConfig.ema_decay, out=None
+    ):
         self.decay = float(decay)
-        self.shadow = store.copy()
+        self.shadow = store.copy(out)
 
-    def update(self, store: ParamStore):
+    def update(self, store: ParamStore, part=slice(None)):
         d = self.decay
-        for name, t in store.items():
+        for name in store.names()[part]:
             s = self.shadow[name].data
             s *= d
-            s += (1.0 - d) * t.data
+            s += (1.0 - d) * store[name].data
 
 
 @dataclass
@@ -316,9 +333,12 @@ def train(
     tracking then degrade to keeping the final EMA weights.
 
     When the heaviest possible step holds enough work for several cores
-    (``_plan_ranks``), the run forks once, after featurization: every rank
-    builds the same parameters and runs this loop over its shard of each
-    step, validation and the final evaluation (see ``_RankGroup``).
+    (``_plan_ranks``), the run forks once, after featurization and after
+    the parameters, Adam's moments and the EMA shadow are made in the rank
+    group's shared memory: every rank runs this loop over its shard of each
+    step, validation and the final evaluation, and updates its own slice
+    of the shared parameters, moments, shadow and best snapshot (see
+    ``_RankGroup``).  The returned weights view that memory.
     """
     if ds.split is None:
         raise ValueError("dataset must be split before training")
@@ -339,16 +359,22 @@ def train(
     group = min(train_cfg.batch_group, n)
     steps_per_epoch = math.ceil(n / group)
     costs = _message_costs(train_prep)
-    n_grads = sum(math.prod(shape) for _, shape, _ in _param_layout(model_cfg))
+    sizes = [math.prod(shape) for _, shape, _ in _param_layout(model_cfg)]
     size = _plan_ranks(sorted(costs)[-group:])
+    ranks = _RankGroup(size, sum(sizes), max(n, len(val_mols)), n_state=5)
+    # One copy of the training state, in the group's memory and filled
+    # before the fork.  Each rank writes only its own slice of it (``mine``,
+    # whole parameters), and every ``ranks.run`` starts at a barrier, so no
+    # rank reads a slice that another is still writing.
+    live, adam_m, adam_v, shadow, kept = ranks.state
+    params = init_params(model_cfg, train_cfg.seed, out=live)
+    state = AdamState(params, adam_m, adam_v)
+    ema = EmaWeights(params, train_cfg.ema_decay, out=shadow)
+    snapshot = params.like(kept)
+    rng = np.random.default_rng(train_cfg.seed)
 
-    # Everything from here on is built by each rank for itself.
-    with _RankGroup(size, n_grads, max(n, len(val_mols))) as ranks:
-        params = init_params(model_cfg, train_cfg.seed)
-        state = AdamState(params)
-        ema = EmaWeights(params, train_cfg.ema_decay)
-        rng = np.random.default_rng(train_cfg.seed)
-
+    with ranks:
+        mine = slice(*_shard_of(sizes, ranks.size, ranks.rank))
         report = TrainReport()
         best: ParamStore | None = None
         best_val = math.inf
@@ -388,8 +414,8 @@ def train(
                     train_cfg.decay_ratio,
                     train_cfg.decay_epochs,
                 )
-                adam_step(params, state, lr)
-                ema.update(params)
+                adam_step(params, state, lr, mine)
+                ema.update(params, mine)
             val_mae = math.nan
             if val_mols:
                 preds, vt = evaluate(
@@ -408,7 +434,9 @@ def train(
             if val_mols:
                 if val_mae < best_val:
                     best_val = val_mae
-                    best = ema.shadow.copy()
+                    for name in params.names()[mine]:
+                        snapshot[name].data[...] = ema.shadow[name].data
+                    best = snapshot
                     report.best_epoch = epoch
                     report.best_val_mae = val_mae
                     since_best = 0
@@ -418,7 +446,7 @@ def train(
                         break
 
         if best is None:
-            best = ema.shadow.copy()
+            best = ema.shadow
             if report.epochs:
                 report.best_epoch = report.epochs[-1].epoch
         preds, tt = evaluate(best, train_mols, train_prep, model_cfg, train_cfg, ranks)
@@ -440,11 +468,11 @@ def _scalar(x: float) -> Tensor:
 # the heap about 35 ms more.
 _MIN_SHARD_MESSAGES = 7_500
 
-# One byte per message on the pipes.  Up, from a rank to rank 0: its shard
-# is done; it no longer reads the summed gradient; or it failed, and an
-# 8-byte length and the pickled exception follow.  Down, from rank 0: add
-# your gradient now; every rank's results are in.
-_DONE, _FREED, _FAILED = b"K", b"F", b"E"
+# One byte per message on the pipes.  Up, from a rank to rank 0: it has
+# reached the barrier; or it failed, and an 8-byte length and the pickled
+# exception follow.  Down, from rank 0: add your gradient now; every rank
+# has reached the barrier.
+_DONE, _FAILED = b"K", b"E"
 _ADD, _READY = b"A", b"R"
 
 
@@ -501,6 +529,13 @@ def _shard_bounds(costs, n_shards: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _shard_of(costs, n_shards: int, rank: int) -> tuple[int, int]:
+    """Shard ``rank`` of ``_shard_bounds(costs, n_shards)``; empty past the
+    last one."""
+    bounds = _shard_bounds(costs, n_shards)
+    return bounds[rank] if rank < len(bounds) else (len(costs),) * 2
+
+
 def _plan_ranks(costs) -> int:
     """Ranks for work of these costs: one per usable core, each with at
     least ``_MIN_SHARD_MESSAGES``; one where no OpenBLAS thread count can be
@@ -542,9 +577,12 @@ class _RankGroup:
     output, test runners) runs twice.  What a rank builds inside the block
     is its own.  The ranks share one ``MAP_SHARED`` anonymous mapping made
     before the fork: a flat float64 gradient vector of ``n_grads`` values in
-    parameter order, and two sets of three rows of ``n_rows`` values
-    (losses, predictions, truths), which alternate between calls of ``run``
-    so that no rank writes a set another may still read.
+    parameter order, ``n_state`` more vectors of that length (``state``,
+    zeros until the caller fills them), and three rows of ``n_rows`` values
+    (losses, predictions, truths).  A one-rank group holds the same vectors
+    on the heap.  Every ``run`` starts at a barrier, so no rank writes the
+    rows, the gradient vector, or its own part of ``state`` while another
+    still reads what it held before.
 
     A rank's exception reaches rank 0 at the next barrier, ranks in order,
     so the earliest failing shard's wins; a rank that ends without a result
@@ -553,24 +591,22 @@ class _RankGroup:
     interrupt.
     """
 
-    def __init__(self, size: int, n_grads: int, n_rows: int):
+    def __init__(self, size: int, n_grads: int, n_rows: int, n_state: int = 0):
         self.size = size
         self.rank = 0
-        words = n_grads + 6 * n_rows
+        words = (1 + n_state) * n_grads + 3 * n_rows
         if size > 1:
             mem = mmap.mmap(-1, 8 * max(words, 1), flags=mmap.MAP_SHARED)
             flat = np.frombuffer(mem, dtype=np.float64, count=words)
         else:
-            # Nothing to share: heap memory, which the next run reuses
-            # without faulting a fresh mapping in.
-            flat = np.empty(words)
-        self._grad = flat[:n_grads]
-        self._rows = flat[n_grads:].reshape(2, 3, n_rows)
-        self._turn = 0
-        self._views = None  # self._grad per parameter, once there are any
-        # Set from a gradient sum until the next ``run``: the other ranks may
-        # still read the sum (Adam does), so rank 0 must not clear it yet.
-        self._lent = False
+            # Nothing to share: the heap, zeroed like a fresh mapping.
+            flat = np.zeros(words)
+        vectors = flat[: (1 + n_state) * n_grads].reshape(1 + n_state, n_grads)
+        self._grad, self.state = vectors[0], vectors[1:]
+        self._rows = flat[(1 + n_state) * n_grads :].reshape(3, n_rows)
+        # Ranks past the first: the gradient vector they accumulate their
+        # shard into, kept from their first gradient ``run`` on.
+        self._own = None
         self._others = []  # rank 0: (pid, down fd, up fd) of ranks 1, 2, ...
         self._status = {}  # rank 0: wait status of each reaped rank
         self._pipe = None  # rank k > 0: its (down fd, up fd)
@@ -683,55 +719,46 @@ class _RankGroup:
 
     # --- work ----------------------------------------------------------------
 
-    def _grad_views(self, params: ParamStore):
-        if self._views is None:
-            shapes = [t.data.shape for _, t in params.items()]
-            cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
-            self._views = [
-                v.reshape(s) for v, s in zip(np.split(self._grad, cuts), shapes)
-            ]
-        return self._views
-
     def run(self, costs, work, params: ParamStore | None = None):
         """Run ``work(lo, hi, rows)`` on this rank's shard of a list of
         items with these costs (contiguous, balanced by ``_shard_bounds``),
         then wait for every rank's; return ``rows`` filled by all.
 
-        ``rows`` holds a loss, a prediction and a truth per item (rows 0, 1
-        and 2); each rank writes its own items' columns.  With ``params``,
-        ``work`` also accumulates gradients: rank 0's go straight into the
-        shared vector, the others' into their own buffers, which they add to
-        it in rank order.  On return every rank's ``p.grad`` views the total,
-        shard 0 + shard 1 + ..., until the next such call.
+        It starts at a barrier, so whatever the ranks wrote to the group's
+        memory before the call is in place for all of them.  ``rows`` holds
+        a loss, a prediction and a truth per item (rows 0, 1 and 2); each
+        rank writes its own items' columns.  With ``params``, ``work`` also
+        accumulates gradients: rank 0's go straight into the shared vector,
+        the others' into their own vector, which they add to it in rank
+        order.  On return every rank's ``p.grad`` views the total, shard 0 +
+        shard 1 + ..., until the next call.
         """
-        rows = self._rows[self._turn]
-        self._turn ^= 1
+        if self.size > 1:
+            self._meet(None)
         if params is not None:
             if self.rank == 0:
-                if self._lent:
-                    for rank in range(1, self.size):
-                        self._hear(rank, _FREED)
-                self._grad.fill(0.0)
-                for (_, p), view in zip(params.items(), self._grad_views(params)):
-                    p.grad = view
+                mine = self._grad
             else:
-                params.zero_grads()
-                if self._lent:
-                    self._send(_FREED)
-            self._lent = False
-        bounds = _shard_bounds(costs, self.size)
-        lo, hi = bounds[self.rank] if self.rank < len(bounds) else (len(costs),) * 2
+                if self._own is None:
+                    self._own = np.empty_like(self._grad)
+                mine = self._own
+            mine.fill(0.0)
+            _point_grads(params, mine)
+        lo, hi = _shard_of(costs, self.size, self.rank)
         try:
-            work(lo, hi, rows)
+            work(lo, hi, self._rows)
         except Exception as e:
             if self.rank:
                 self._fail(e)
             raise
         if self.size > 1:
             self._meet(params)
-        return rows
+        return self._rows
 
     def _meet(self, params: ParamStore | None):
+        """Wait until every rank is here.  With ``params``, the ranks past
+        the first add their gradient vector to the shared one first, in rank
+        order, and point their ``p.grad`` at the sum."""
         if self.rank == 0:
             for rank in range(1, self.size):
                 if params is not None:
@@ -742,10 +769,13 @@ class _RankGroup:
         else:
             if params is not None:
                 self._await(_ADD)
-                for (_, p), view in zip(params.items(), self._grad_views(params)):
-                    if p.grad is not None:
-                        view += p.grad
-                    p.grad = view
+                self._grad += self._own
+                _point_grads(params, self._grad)
             self._send(_DONE)
             self._await(_READY)
-        self._lent = params is not None
+
+
+def _point_grads(params: ParamStore, flat: np.ndarray):
+    """Make every ``p.grad`` the view of its part of ``flat``."""
+    for (_, p), view in zip(params.items(), params.views(flat).values()):
+        p.grad = view

@@ -279,6 +279,33 @@ def test_segment_sum_is_the_transpose_of_gather():
         assert got.tobytes() == g.tobytes()
 
 
+def test_an_ascending_index_skips_the_sort_with_the_same_bytes(monkeypatch):
+    # An ascending index is its own stable sort; the scatter-sum skips the
+    # argsort and the reordered copy and gives the sorted route's bytes.
+    rng = np.random.default_rng(12)
+    n, k = 9, 4
+    cases = [np.array([0]), np.array([4, 4, 4]), np.arange(n), np.array([0, 0, 8, 8])]
+    cases += [np.sort(rng.integers(0, n, size=int(rng.integers(1, 80)))) for _ in range(20)]
+    data = [
+        rng.standard_normal((idx.size, k)) * 10.0 ** rng.integers(-3, 4, size=(idx.size, 1))
+        for idx in cases
+    ]
+    wants = []
+    for idx, w in zip(cases, data):
+        order = np.argsort(idx, kind="stable")
+        starts = np.flatnonzero(np.r_[True, idx[order][1:] != idx[order][:-1]])
+        want = np.zeros((n, k))
+        want[idx[order][starts]] = np.add.reduceat(w[order], starts, axis=0)
+        wants.append(want)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("an ascending index was sorted")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    for idx, w, want in zip(cases, data, wants):
+        assert segment_sum(Tensor(w), idx, n).data.tobytes() == want.tobytes()
+
+
 def test_gather_and_segment_sum_check_their_index():
     x = Tensor(np.ones((4, 2)))
     for bad, err in (([[0, 1]], ShapeError), ([0, 4], IndexError), ([-1], IndexError)):

@@ -81,6 +81,21 @@ def test_init_is_deterministic():
     )
 
 
+def test_init_params_fills_a_given_vector():
+    cfg = tiny_cfg(n_layers=2)
+    fresh = init_params(cfg, seed=3)
+    buf = np.full(fresh.n_scalars(), np.nan)
+    into = init_params(cfg, seed=3, out=buf)
+    assert into.names() == fresh.names()
+    assert np.concatenate([t.data.ravel() for _, t in into.items()]).tobytes() == buf.tobytes()
+    for name, t in into.items():
+        assert t.data.tobytes() == fresh[name].data.tobytes()
+        assert np.shares_memory(t.data, buf)
+    for bad in (np.zeros(buf.size + 1), np.zeros(buf.size, dtype=np.float32)):
+        with pytest.raises(ValueError, match="float64 vector"):
+            init_params(cfg, seed=3, out=bad)
+
+
 def test_init_ranges_and_distribution():
     cfg = ModelConfig(hidden_dim=32, n_layers=1, n_residuals=1)
     params = init_params(cfg, seed=0)
@@ -116,6 +131,13 @@ def test_param_store_guard_rails():
     dup = store.copy()
     dup["a/w"].data[:] = 7.0
     assert np.all(store["a/w"].data == 0.0)
+    store.add("b", np.arange(3.0))
+    flat = np.zeros(7)
+    into = store.copy(flat)
+    assert flat.tolist() == [0.0] * 4 + [0.0, 1.0, 2.0]
+    view = store.like(flat)
+    view["b"].data[0] = 5.0
+    assert into["b"].data[0] == 5.0 and store["b"].data[0] == 0.0
 
 
 def test_residual_stack_identity_cases():

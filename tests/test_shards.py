@@ -6,6 +6,7 @@ minimum work per rank.  These tests need an OpenBLAS whose thread count can be s
 elsewhere every run stays in one process and they are skipped.
 """
 
+import math
 import os
 import signal
 import time
@@ -14,7 +15,15 @@ import numpy as np
 import pytest
 
 from mxmnet import cli, fixtures, training
-from mxmnet.model import ModelConfig, forward, init_params
+from mxmnet.autodiff import backward
+from mxmnet.model import (
+    ModelConfig,
+    _param_layout,
+    forward,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mxmnet.training import TrainConfig, evaluate, prepare_all, train
 
 from conftest import rel_gap
@@ -86,6 +95,26 @@ def test_shard_bounds_are_contiguous_cover_the_input_and_balance_cost():
     assert training._shard_bounds([100, 1, 1], 3) == [(0, 1), (1, 3)]
 
 
+def _sizes(cfg):
+    return [math.prod(shape) for _, shape, _ in _param_layout(cfg)]
+
+
+def test_parameter_slices_cover_every_parameter_once_and_balance():
+    # Each rank's Adam and EMA slice is a [lo, hi) range of parameter
+    # positions, so every cut falls on a parameter boundary.
+    for sizes in (_sizes(ModelConfig()), _sizes(TINY), [5], [3, 9]):
+        for n in (1, 2, 3, 4):
+            parts = [training._shard_of(sizes, n, rank) for rank in range(n)]
+            assert parts[0][0] == 0 and parts[-1][1] == len(sizes)
+            assert all(lo <= hi for lo, hi in parts)
+            assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+            share = sum(sizes) / n
+            held = [sum(sizes[lo:hi]) for lo, hi in parts if lo < hi]
+            if len(held) == n:
+                assert all(abs(h - share) <= max(sizes) for h in held)
+    assert [training._shard_of([5], 3, rank) for rank in range(3)] == [(0, 1), (1, 1), (1, 1)]
+
+
 def test_small_or_single_core_work_stays_in_one_process(monkeypatch):
     _, prepared = _prepared(4)
     costs = training._message_costs(prepared)
@@ -137,7 +166,8 @@ def test_sharded_train_matches_one_shard(shards):
 def test_more_ranks_than_cores_sum_every_gradient(shards):
     # Four ranks on fewer cores, one or two molecules each per step and six
     # steps: a gradient added out of turn, cleared before every rank read
-    # it, or read before every rank added to it moves the weights.
+    # it, or read before every rank added to it, or a slice of the shared
+    # weights read before its rank updated it, moves the weights.
     ds = fixtures.dataset_from(fixtures.overfit_set(12, seed=7), (0.5, 0.5, 0.0), 0)
     tcfg = TrainConfig(target="u0", epochs=3, base_lr=5e-3, batch_group=4, seed=2)
     one = train(ds, TINY, tcfg)
@@ -150,6 +180,35 @@ def test_more_ranks_than_cores_sum_every_gradient(shards):
     for a, b in zip(one.report.epochs, four.report.epochs):
         assert abs(a.val_mae - b.val_mae) <= 1e-12 * abs(a.val_mae)
     _no_children_left()
+
+
+def test_a_two_rank_result_outlives_its_group(tmp_path, shards):
+    # With a validation split the weights returned are the best snapshot,
+    # without one the EMA shadow; both live in the group's shared memory.
+    mols = fixtures.overfit_set(8, seed=7)
+    for fractions in ((0.75, 0.25, 0.0), (1.0, 0.0, 0.0)):
+        ds = fixtures.dataset_from(mols, fractions, 0)
+        tcfg = TrainConfig(target="u0", epochs=2, base_lr=5e-3, batch_group=6, seed=1)
+        shards(1)
+        one = train(ds, TINY, tcfg).params
+        shards(2)
+        result = train(ds, TINY, tcfg)
+        two = result.params
+        _no_children_left()
+        # They are the weights the report's figures were measured on.
+        split = "val" if fractions[1] else "train"
+        mols_used = ds.subset(split)
+        preds, truths = evaluate(two, mols_used, prepare_all(mols_used, TINY), TINY, tcfg)
+        mae = float(np.mean(np.abs(preds - truths)))
+        report = result.report
+        assert mae == (report.best_val_mae if fractions[1] else report.final_train_mae)
+        ckpt = tmp_path / "two.ckpt"
+        save_checkpoint(two, ckpt)
+        back = load_checkpoint(ckpt)
+        assert back.names() == two.names() == one.names()
+        for name, t in two.items():
+            assert back[name].data.tobytes() == t.data.tobytes()
+            assert rel_gap(t.data, one[name].data) <= 1e-12, name
 
 
 def _train_cli(tmp_path, name, *flags):
@@ -193,6 +252,37 @@ def test_diverging_sharded_run_names_the_same_molecule(tmp_path, capsys, shards)
     assert len(lines) == 1 and two.count("\n") == 1
     assert "non-finite" in lines[0] and "for molecule" in lines[0]
     assert lines[0] == one.strip()
+    _no_children_left()
+
+
+def test_a_non_finite_gradient_in_rank_1s_slice_fails_as_in_one_rank(
+    tmp_path, capsys, monkeypatch, shards
+):
+    # Rank 0 does not update the last parameter, but checks the whole sum.
+    sizes = _sizes(TINY)
+    name = _param_layout(TINY)[-1][0]
+    lo, hi = training._shard_of(sizes, 2, 1)
+    assert 0 < lo <= len(sizes) - 1 < hi
+    stores = []
+
+    def kept(*args, **kwargs):
+        stores.append(init_params(*args, **kwargs))
+        return stores[-1]
+
+    def poisoned(out, tape):
+        backward(out, tape)
+        stores[-1][name].grad[...] = np.inf
+
+    monkeypatch.setattr(training, "init_params", kept)
+    monkeypatch.setattr(training, "backward", poisoned)
+    code, _ = _train_cli(tmp_path, "one")
+    one = capsys.readouterr().err
+    shards(2)
+    code_two, out = _train_cli(tmp_path, "two")
+    two = capsys.readouterr().err
+    assert code == code_two == 2
+    assert one == two == f"error: non-finite gradient for parameter {name!r}\n"
+    assert not (out / "model.ckpt").exists()
     _no_children_left()
 
 

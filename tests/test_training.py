@@ -106,6 +106,43 @@ def test_adam_rejects_non_finite_gradients():
     with pytest.raises(FloatingPointError) as e:
         adam_step(store, state, lr=0.1)
     assert "p" in str(e.value)
+    # A slice's update checks every gradient first and changes nothing.
+    store.add("q", np.zeros(2))
+    store["p"].grad = np.ones(1)
+    store["q"].grad = np.array([1.0, np.inf])
+    state = AdamState(store)
+    with pytest.raises(FloatingPointError, match="'q'"):
+        adam_step(store, state, lr=0.1, part=slice(0, 1))
+    assert store["p"].data[0] == 0.0 and state.step == 0
+
+
+def test_adam_and_ema_by_slices_match_one_call():
+    # Ranks sharing the vectors each update a slice of the parameters; the
+    # slices together give the bytes of one call over every parameter.
+    cfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
+    whole, parts = init_params(cfg, seed=4), init_params(cfg, seed=4)
+    n, k = whole.n_scalars(), len(whole)
+    m, v = np.zeros(n), np.zeros(n)
+    slices = [slice(0, 3), slice(3, k // 2), slice(k // 2, None)]
+    state = AdamState(whole)
+    states = [AdamState(parts, m, v) for _ in slices]
+    ema, ema_parts = EmaWeights(whole, 0.9), EmaWeights(parts, 0.9)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        grads = rng.standard_normal(n)
+        for store in (whole, parts):
+            for (_, p), g in zip(store.items(), store.views(grads.copy()).values()):
+                p.grad = g
+        adam_step(whole, state, 1e-2)
+        ema.update(whole)
+        for part, st in zip(slices, states):
+            adam_step(parts, st, 1e-2, part)
+            ema_parts.update(parts, part)
+    for name, t in whole.items():
+        assert t.data.tobytes() == parts[name].data.tobytes()
+        assert state.m[name].tobytes() == states[0].m[name].tobytes()
+        assert state.v[name].tobytes() == states[0].v[name].tobytes()
+        assert ema.shadow[name].data.tobytes() == ema_parts.shadow[name].data.tobytes()
 
 
 def test_lr_schedule_shape():
