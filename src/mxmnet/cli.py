@@ -279,7 +279,7 @@ def cmd_train(args) -> int:
         "best_epoch": result.report.best_epoch,
         "best_val_mae": _none_if_nan(result.report.best_val_mae),
         "final_train_mae": result.report.final_train_mae,
-        "n_parameters": result.params.n_scalars(),
+        "n_parameters": result.params.flat.size,
         "checkpoint": ckpt,
         "wall_seconds": wall,
         # Linux reports ru_maxrss in KiB.  The forked ranks are counted

@@ -321,8 +321,10 @@ def target_stats(
 
 
 def load_atomrefs(path) -> dict[int, float]:
-    """Read per-element reference energies: lines of ``<symbol> <value>``."""
+    """Read per-element reference energies: lines of ``<symbol> <value>``;
+    an element given twice is an error naming both lines."""
     refs: dict[int, float] = {}
+    lines = {}  # the line each element was given on
     with open(path, encoding="utf-8") as fh:
         for num, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -338,6 +340,11 @@ def load_atomrefs(path) -> dict[int, float]:
                 raise ParseError(num, str(e)) from None
             if not math.isfinite(value):
                 raise ParseError(num, f"non-finite reference energy {parts[1]!r}")
+            if z in lines:
+                raise ParseError(
+                    num, f"element {parts[0]!r} given twice, lines {lines[z]} and {num}"
+                )
+            lines[z] = num
             refs[z] = value
     return refs
 

@@ -17,12 +17,14 @@ All state flows through :mod:`mxmnet.autodiff` tensors so one backward
 call yields exact parameter gradients.
 
 Parameter tensors live in a :class:`ParamStore` under stable slash-path
-names, in creation order; checkpoints serialize that order verbatim.
+names, as views of one float64 vector in creation order; checkpoints
+serialize that order verbatim.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +101,30 @@ class ModelConfig:
 
 
 class ParamStore:
-    """Named parameter tensors in a stable insertion order."""
+    """Named parameter tensors that view consecutive parts of one float64
+    vector, ``store.flat``: ``flat`` (zeros when not given), which must hold
+    exactly as many values as the (name, shape) pairs of ``layout``.  Names
+    are unique and hold no whitespace."""
 
-    def __init__(self):
+    def __init__(self, layout, flat: np.ndarray | None = None):
+        self._ends = np.cumsum([math.prod(shape) for _, shape in layout], dtype=np.int64)
+        n = int(self._ends[-1]) if layout else 0
+        if flat is None:
+            flat = np.zeros(n)
+        if flat.dtype != np.float64 or flat.shape != (n,):
+            raise ValueError(
+                f"need a float64 vector of {n} values, got {flat.dtype} of shape {flat.shape}"
+            )
+        self.flat = flat
         self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter {name!r}")
-        if " " in name or "\n" in name:
-            raise ValueError(f"parameter name may not contain whitespace: {name!r}")
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = t
-        return t
+        lo = 0
+        for (name, shape), hi in zip(layout, self._ends.tolist()):
+            if name in self._params:
+                raise ValueError(f"duplicate parameter {name!r}")
+            if " " in name or "\n" in name:
+                raise ValueError(f"parameter name may not contain whitespace: {name!r}")
+            self._params[name] = Tensor(flat[lo:hi].reshape(shape), requires_grad=True)
+            lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -128,47 +141,27 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter's name with its part of ``flat``, a float64
-        vector of ``n_scalars()`` values in parameter order; each part is a
-        view shaped like its parameter."""
-        shapes = [t.data.shape for t in self._params.values()]
-        return dict(zip(self._params, _split(flat, shapes)))
+    def first_non_finite(self, flat: np.ndarray) -> str | None:
+        """The name of the first parameter whose part of ``flat``, a vector
+        laid out like ``store.flat``, holds a non-finite value, if any."""
+        # A finite sum, which needs no temporary, means every value is finite;
+        # only otherwise (or on overflow) is each value tested.
+        if math.isfinite(flat.sum()):
+            return None
+        finite = np.isfinite(flat)
+        if not finite.all():
+            k = np.searchsorted(self._ends, np.argmin(finite), side="right")
+            return self.names()[int(k)]
 
     def like(self, flat: np.ndarray) -> "ParamStore":
-        """A store of the same names and shapes whose tensors view their
-        parts of ``flat`` (see ``views``); nothing is copied."""
-        out = ParamStore()
-        for name, view in self.views(flat).items():
-            out.add(name, view)
-        return out
+        """A store of the same layout over ``flat``; nothing is copied."""
+        return ParamStore([(name, t.data.shape) for name, t in self.items()], flat)
 
-    def copy(self, out: np.ndarray | None = None) -> "ParamStore":
-        """A copy whose tensors view ``out`` (see ``views``), or one fresh
-        vector when it is not given."""
-        dup = self.like(np.empty(self.n_scalars()) if out is None else out)
-        for (_, t), (_, d) in zip(self.items(), dup.items()):
-            d.data[...] = t.data
-        return dup
-
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-
-def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of the float64 vector ``flat``, one per shape and
-    shaped so, which together cover it exactly."""
-    sizes = [math.prod(s) for s in shapes]
-    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
-        raise ValueError(
-            f"need a float64 vector of {sum(sizes)} values, got {flat.dtype} "
-            f"of shape {flat.shape}"
-        )
-    parts, lo = [], 0
-    for shape, size in zip(shapes, sizes):
-        parts.append(flat[lo : lo + size].reshape(shape))
-        lo += size
-    return parts
+    def point_grads(self, flat: np.ndarray):
+        """Make every ``grad`` the view of its part of ``flat``, a vector laid
+        out like ``store.flat``, so that ``backward`` adds into it."""
+        for (_, t), (_, g) in zip(self.items(), self.like(flat).items()):
+            t.grad = g.data
 
 
 def _mlp_layout(prefix, d_in, d_hidden, d_out):
@@ -232,20 +225,15 @@ def init_params(
     """Fresh parameters: embedding rows uniform in (-sqrt(3), sqrt(3)),
     weights and biases uniform in (-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
-    Creation order is fixed, so a seed pins every value.  The tensors view
-    consecutive parts of one float64 vector in that order: ``out``, which
-    must hold exactly as many values, or a fresh one.  The values are the
+    Creation order is fixed, so a seed pins every value.  The store is
+    built over ``out`` when given (see ``ParamStore``); the values are the
     same either way.
     """
     rng = np.random.default_rng(seed)
     layout = _param_layout(cfg)
-    shapes = [shape for _, shape, _ in layout]
-    if out is None:
-        out = np.empty(sum(math.prod(s) for s in shapes))
-    store = ParamStore()
-    for (name, shape, bound), view in zip(layout, _split(out, shapes)):
-        view[...] = rng.uniform(-bound, bound, size=shape)
-        store.add(name, view)
+    store = ParamStore([(name, shape) for name, shape, _ in layout], out)
+    for name, shape, bound in layout:
+        store[name].data[...] = rng.uniform(-bound, bound, size=shape)
     return store
 
 
@@ -486,9 +474,10 @@ def load_checkpoint(path) -> ParamStore:
     """Read a checkpoint back; byte-exact inverse of :func:`save_checkpoint`.
 
     Raises ``ValueError`` naming the file for a malformed or truncated
-    file (a header field that is not an integer, a negative record count),
-    a non-finite value (naming its parameter) and bytes after the last
-    record.
+    file, and the parameter too where one is at fault (a negative
+    dimension, more data than bytes left, a repeated name, a non-finite
+    value), or for bytes after the last record.  Every record is checked
+    before any data is read.
     """
 
     def integer(raw: str, what: str) -> int:
@@ -497,8 +486,8 @@ def load_checkpoint(path) -> ParamStore:
         except ValueError:
             raise ValueError(f"{path}: {what} is not an integer: {raw!r}") from None
 
-    store = ParamStore()
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.readline().decode().split()
         if len(magic) != 2 or magic[0] != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -507,6 +496,7 @@ def load_checkpoint(path) -> ParamStore:
         count = integer(fh.readline().decode().strip(), "the record count")
         if count < 0:
             raise ValueError(f"{path}: negative record count {count}")
+        layout = []
         for _ in range(count):
             head = fh.readline().decode().split()
             if not head:
@@ -519,14 +509,23 @@ def load_checkpoint(path) -> ParamStore:
             shape = tuple(integer(x, f"a dimension of {name!r}") for x in head[2 : 2 + ndim])
             if len(shape) != ndim:
                 raise ValueError(f"{path}: malformed record for {name!r}")
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise ValueError(f"{path}: truncated data for {name!r}")
-            arr = np.frombuffer(raw, dtype="<f8", count=n).reshape(shape)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{path}: non-finite value in parameter {name!r}")
-            store.add(name, arr.astype(np.float64))
-        if fh.read(1):
+            if min(shape, default=0) < 0:
+                raise ValueError(f"{path}: negative dimension in the shape {shape} of {name!r}")
+            need, left = 8 * math.prod(shape), size - fh.tell()
+            if need > left:
+                raise ValueError(f"{path}: the data of {name!r} needs {need} bytes, {left} are left")
+            layout.append((name, shape, fh.tell()))
+            fh.seek(need, os.SEEK_CUR)
+        if fh.tell() != size:
             raise ValueError(f"{path}: unexpected bytes after the last record")
+        try:
+            store = ParamStore([(name, shape) for name, shape, _ in layout])
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        for (_, shape, start), (_, t) in zip(layout, store.items()):
+            fh.seek(start)
+            t.data[...] = np.frombuffer(fh.read(t.data.nbytes), "<f8").reshape(shape)
+    bad = store.first_non_finite(store.flat)
+    if bad is not None:
+        raise ValueError(f"{path}: non-finite value in parameter {bad!r}")
     return store

@@ -9,10 +9,10 @@ the best-validation EMA snapshot is what training returns and checkpoints.
 Work is split into contiguous shards across a rank group of processes,
 one per usable core, when each gets enough work (see ``_RankGroup``).
 ``train`` forks its ranks once, after featurization.  The ranks share one
-copy of the parameters, Adam's moments, the EMA shadow and the best
-snapshot; each sums its shard's gradients into one shared vector, then
-updates its own slice of the parameters.  A standalone ``evaluate`` forks
-once for its call.
+copy of the training state, flat vectors of the parameters, Adam's
+moments, the EMA shadow and the best snapshot; each sums its shard's
+gradients into one shared vector, then updates its even share of the
+scalars.  A standalone ``evaluate`` forks once for its call.
 
 Everything is seeded and single-run deterministic: two runs with the same
 dataset, config, seeds and usable core count produce identical reports
@@ -136,78 +136,84 @@ def lr_at(
     return base_lr * decay_ratio ** (epochs_past / decay_epochs)
 
 
-class AdamState:
-    """First/second moment buffers plus the step counter.
+# Scalars per pass of ``adam_step`` and ``EmaWeights.update``.  A paper-dims
+# train benchmark run peaked at 234 MB RSS in blocks of 2^14, 243 MB in
+# blocks of 2^16 and 272 MB in one pass per rank.  At 128 KiB per array a
+# block also fits a 2 MiB L2 cache: a whole paper-dims Adam step took 40 ms,
+# against 67 ms in blocks of 2^16 (one Xeon core).
+_BLOCK = 1 << 14
 
-    The moments view their parts of ``m`` and ``v``, float64 vectors of
-    ``store.n_scalars()`` zeros in parameter order (``ParamStore.views``);
-    fresh ones when not given.
-    """
+
+def _blocks(part: slice, n: int):
+    """Consecutive slices of at most ``_BLOCK`` scalars covering ``part``."""
+    lo, hi, _ = part.indices(n)
+    for a in range(lo, hi, _BLOCK):
+        yield slice(a, min(a + _BLOCK, hi))
+
+
+class AdamState:
+    """First/second moment vectors ``m`` and ``v``, laid out like
+    ``store.flat`` (zeros when not given), plus the step counter."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
     def __init__(self, store: ParamStore, m=None, v=None):
-        n = store.n_scalars()
-        self.m = store.views(np.zeros(n) if m is None else m)
-        self.v = store.views(np.zeros(n) if v is None else v)
+        self.m = np.zeros_like(store.flat) if m is None else m
+        self.v = np.zeros_like(store.flat) if v is None else v
         self.step = 0
 
 
-def adam_step(store: ParamStore, state: AdamState, lr: float, part=slice(None)):
-    """One bias-corrected Adam update in place; grads are left untouched.
+def adam_step(store: ParamStore, grad, state: AdamState, lr: float, part=slice(None)):
+    """One bias-corrected Adam update in place from ``grad``, a vector laid
+    out like ``store.flat``, which is left untouched.
 
-    Only the parameters at ``part``, a slice of the store's order (all by
+    Only the scalars at ``part``, a slice of ``store.flat`` (all by
     default), and their moments change, so processes that share the
-    vectors can each update their own part.  Every gradient is checked
-    first: a non-finite one aborts with the first such parameter's name,
-    before anything changes.  A parameter with no grad buffer counts as
-    zero gradient.
+    vectors can each update their own part.  The whole gradient is checked
+    first: a non-finite value aborts with its parameter's name, before
+    anything changes.
     """
-    for name, p in store.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+    bad = store.first_non_finite(grad)
+    if bad is not None:
+        raise FloatingPointError(f"non-finite gradient for parameter {bad!r}")
     state.step += 1
     t = state.step
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for name in store.names()[part]:
-        p = store[name]
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
+    for k in _blocks(part, grad.size):
+        g, m, v, p = grad[k], state.m[k], state.v[k], store.flat[k]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 class EmaWeights:
     """Exponential moving average of a parameter store.
 
-    Initialized to a copy of the live weights, held in ``out`` when given
-    (see ``ParamStore.copy``); after every optimizer step ``update`` moves
-    each shadow value by (1 - decay) toward the live one, for the
-    parameters at ``part`` as in ``adam_step``.
+    ``shadow`` is a store of the same layout over ``out`` when given, or a
+    fresh vector, and starts as a copy of the live weights; after every
+    optimizer step ``update`` moves each shadow value by (1 - decay) toward
+    the live one, for the scalars at ``part`` as in ``adam_step``.
     """
 
     def __init__(
         self, store: ParamStore, decay: float = TrainConfig.ema_decay, out=None
     ):
         self.decay = float(decay)
-        self.shadow = store.copy(out)
+        self.shadow = store.like(np.empty_like(store.flat) if out is None else out)
+        self.shadow.flat[...] = store.flat
 
     def update(self, store: ParamStore, part=slice(None)):
         d = self.decay
-        for name in store.names()[part]:
-            s = self.shadow[name].data
+        for k in _blocks(part, store.flat.size):
+            s = self.shadow.flat[k]
             s *= d
-            s += (1.0 - d) * store[name].data
+            s += (1.0 - d) * store.flat[k]
 
 
 @dataclass
@@ -336,9 +342,9 @@ def train(
     (``_plan_ranks``), the run forks once, after featurization and after
     the parameters, Adam's moments and the EMA shadow are made in the rank
     group's shared memory: every rank runs this loop over its shard of each
-    step, validation and the final evaluation, and updates its own slice
-    of the shared parameters, moments, shadow and best snapshot (see
-    ``_RankGroup``).  The returned weights view that memory.
+    step, validation and the final evaluation, and updates its own range
+    of the scalars of the shared parameters, moments, shadow and best
+    snapshot (see ``_RankGroup``).  The returned weights view that memory.
     """
     if ds.split is None:
         raise ValueError("dataset must be split before training")
@@ -359,13 +365,13 @@ def train(
     group = min(train_cfg.batch_group, n)
     steps_per_epoch = math.ceil(n / group)
     costs = _message_costs(train_prep)
-    sizes = [math.prod(shape) for _, shape, _ in _param_layout(model_cfg)]
+    n_scalars = sum(math.prod(shape) for _, shape, _ in _param_layout(model_cfg))
     size = _plan_ranks(sorted(costs)[-group:])
-    ranks = _RankGroup(size, sum(sizes), max(n, len(val_mols)), n_state=5)
+    ranks = _RankGroup(size, n_scalars, max(n, len(val_mols)), n_state=5)
     # One copy of the training state, in the group's memory and filled
-    # before the fork.  Each rank writes only its own slice of it (``mine``,
-    # whole parameters), and every ``ranks.run`` starts at a barrier, so no
-    # rank reads a slice that another is still writing.
+    # before the fork.  Each rank writes only its own range of it
+    # (``mine``), and every ``ranks.run`` starts at a barrier, so no rank
+    # reads a range that another is still writing.
     live, adam_m, adam_v, shadow, kept = ranks.state
     params = init_params(model_cfg, train_cfg.seed, out=live)
     state = AdamState(params, adam_m, adam_v)
@@ -374,7 +380,8 @@ def train(
     rng = np.random.default_rng(train_cfg.seed)
 
     with ranks:
-        mine = slice(*_shard_of(sizes, ranks.size, ranks.rank))
+        mine = _even_share(n_scalars, ranks.size, ranks.rank)
+        params.point_grads(ranks.own_grad)
         report = TrainReport()
         best: ParamStore | None = None
         best_val = math.inf
@@ -404,7 +411,7 @@ def train(
                                 f"non-finite loss for molecule {m.key!r} at epoch {epoch}"
                             )
 
-                rows = ranks.run([costs[i] for i in chunk], accumulate, params)
+                rows = ranks.run([costs[i] for i in chunk], accumulate, grads=True)
                 losses[chunk] = rows[0, : len(chunk)]
                 lr = lr_at(
                     state.step,
@@ -414,7 +421,7 @@ def train(
                     train_cfg.decay_ratio,
                     train_cfg.decay_epochs,
                 )
-                adam_step(params, state, lr, mine)
+                adam_step(params, ranks.grad, state, lr, mine)
                 ema.update(params, mine)
             val_mae = math.nan
             if val_mols:
@@ -434,8 +441,7 @@ def train(
             if val_mols:
                 if val_mae < best_val:
                     best_val = val_mae
-                    for name in params.names()[mine]:
-                        snapshot[name].data[...] = ema.shadow[name].data
+                    kept[mine] = shadow[mine]
                     best = snapshot
                     report.best_epoch = epoch
                     report.best_val_mae = val_mae
@@ -529,11 +535,10 @@ def _shard_bounds(costs, n_shards: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _shard_of(costs, n_shards: int, rank: int) -> tuple[int, int]:
-    """Shard ``rank`` of ``_shard_bounds(costs, n_shards)``; empty past the
-    last one."""
-    bounds = _shard_bounds(costs, n_shards)
-    return bounds[rank] if rank < len(bounds) else (len(costs),) * 2
+def _even_share(n: int, n_ranks: int, rank: int) -> slice:
+    """Rank ``rank``'s part of ``range(n)`` when ``n_ranks`` ranks split it
+    into contiguous parts whose sizes differ by at most one."""
+    return slice(n * rank // n_ranks, n * (rank + 1) // n_ranks)
 
 
 def _plan_ranks(costs) -> int:
@@ -576,13 +581,14 @@ class _RankGroup:
     returns from it, and nothing of the caller's (atexit handlers, buffered
     output, test runners) runs twice.  What a rank builds inside the block
     is its own.  The ranks share one ``MAP_SHARED`` anonymous mapping made
-    before the fork: a flat float64 gradient vector of ``n_grads`` values in
-    parameter order, ``n_state`` more vectors of that length (``state``,
-    zeros until the caller fills them), and three rows of ``n_rows`` values
-    (losses, predictions, truths).  A one-rank group holds the same vectors
-    on the heap.  Every ``run`` starts at a barrier, so no rank writes the
-    rows, the gradient vector, or its own part of ``state`` while another
-    still reads what it held before.
+    before the fork: the summed gradient ``grad`` of ``n_grads`` values,
+    ``n_state`` more vectors of that length (``state``, zeros until the
+    caller fills them), and three rows of ``n_rows`` values (losses,
+    predictions, truths).  A one-rank group holds them on the heap.  Each
+    rank accumulates into ``own_grad``, ``grad`` itself on rank 0.  Every
+    ``run`` starts at a barrier, so no rank writes the rows, the gradient
+    vectors, or its own part of ``state`` while another still reads what
+    it held before.
 
     A rank's exception reaches rank 0 at the next barrier, ranks in order,
     so the earliest failing shard's wins; a rank that ends without a result
@@ -602,11 +608,9 @@ class _RankGroup:
             # Nothing to share: the heap, zeroed like a fresh mapping.
             flat = np.zeros(words)
         vectors = flat[: (1 + n_state) * n_grads].reshape(1 + n_state, n_grads)
-        self._grad, self.state = vectors[0], vectors[1:]
+        self.grad, self.state = vectors[0], vectors[1:]
         self._rows = flat[(1 + n_state) * n_grads :].reshape(3, n_rows)
-        # Ranks past the first: the gradient vector they accumulate their
-        # shard into, kept from their first gradient ``run`` on.
-        self._own = None
+        self.own_grad = self.grad  # a private vector past rank 0 (``_fork``)
         self._others = []  # rank 0: (pid, down fd, up fd) of ranks 1, 2, ...
         self._status = {}  # rank 0: wait status of each reaped rank
         self._pipe = None  # rank k > 0: its (down fd, up fd)
@@ -654,6 +658,7 @@ class _RankGroup:
             except BaseException:
                 os._exit(1)
             self.rank, self._others, self._pipe = rank, [], (down_r, up_w)
+            self.own_grad = np.empty_like(self.grad)
             return True
         os.close(down_r)
         os.close(up_w)
@@ -719,7 +724,7 @@ class _RankGroup:
 
     # --- work ----------------------------------------------------------------
 
-    def run(self, costs, work, params: ParamStore | None = None):
+    def run(self, costs, work, grads: bool = False):
         """Run ``work(lo, hi, rows)`` on this rank's shard of a list of
         items with these costs (contiguous, balanced by ``_shard_bounds``),
         then wait for every rank's; return ``rows`` filled by all.
@@ -727,24 +732,17 @@ class _RankGroup:
         It starts at a barrier, so whatever the ranks wrote to the group's
         memory before the call is in place for all of them.  ``rows`` holds
         a loss, a prediction and a truth per item (rows 0, 1 and 2); each
-        rank writes its own items' columns.  With ``params``, ``work`` also
-        accumulates gradients: rank 0's go straight into the shared vector,
-        the others' into their own vector, which they add to it in rank
-        order.  On return every rank's ``p.grad`` views the total, shard 0 +
-        shard 1 + ..., until the next call.
+        rank writes its own items' columns.  With ``grads``, ``work`` also
+        accumulates gradients into ``own_grad``, zeroed first, and on return
+        ``grad`` holds the total, shard 0 + shard 1 + ..., until the next
+        call.
         """
         if self.size > 1:
-            self._meet(None)
-        if params is not None:
-            if self.rank == 0:
-                mine = self._grad
-            else:
-                if self._own is None:
-                    self._own = np.empty_like(self._grad)
-                mine = self._own
-            mine.fill(0.0)
-            _point_grads(params, mine)
-        lo, hi = _shard_of(costs, self.size, self.rank)
+            self._meet(False)
+        if grads:
+            self.own_grad.fill(0.0)
+        bounds = _shard_bounds(costs, self.size)  # a rank past the last gets none
+        lo, hi = bounds[self.rank] if self.rank < len(bounds) else (len(costs),) * 2
         try:
             work(lo, hi, self._rows)
         except Exception as e:
@@ -752,30 +750,22 @@ class _RankGroup:
                 self._fail(e)
             raise
         if self.size > 1:
-            self._meet(params)
+            self._meet(grads)
         return self._rows
 
-    def _meet(self, params: ParamStore | None):
-        """Wait until every rank is here.  With ``params``, the ranks past
-        the first add their gradient vector to the shared one first, in rank
-        order, and point their ``p.grad`` at the sum."""
+    def _meet(self, grads: bool):
+        """Wait until every rank is here.  With ``grads``, the ranks past
+        the first add ``own_grad`` to ``grad`` first, in rank order."""
         if self.rank == 0:
             for rank in range(1, self.size):
-                if params is not None:
+                if grads:
                     self._tell(rank, _ADD)
                 self._hear(rank, _DONE)
             for rank in range(1, self.size):
                 self._tell(rank, _READY)
         else:
-            if params is not None:
+            if grads:
                 self._await(_ADD)
-                self._grad += self._own
-                _point_grads(params, self._grad)
+                self.grad += self.own_grad
             self._send(_DONE)
             self._await(_READY)
-
-
-def _point_grads(params: ParamStore, flat: np.ndarray):
-    """Make every ``p.grad`` the view of its part of ``flat``."""
-    for (_, p), view in zip(params.items(), params.views(flat).values()):
-        p.grad = view

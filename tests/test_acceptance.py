@@ -62,7 +62,7 @@ def test_gradient_correctness():
             n_checked += 1
     elapsed = time.perf_counter() - start
 
-    assert n_checked == params.n_scalars()
+    assert n_checked == params.flat.size
     ok = worst < 1e-4 and elapsed < 120.0
     _report(
         ok,

@@ -232,7 +232,7 @@ def test_train_writes_expected_outputs(tmp_path, capsys):
     assert summary["target"] == "u0"
     assert summary["epochs_run"] == 2
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
-    assert summary["n_parameters"] == init_params(mcfg, 0).n_scalars()
+    assert summary["n_parameters"] == init_params(mcfg, 0).flat.size
     assert os.path.exists(summary["checkpoint"])
     assert summary["train_target_std"] > 0
     assert math.isfinite(summary["peak_rss_mb"]) and summary["peak_rss_mb"] > 0
@@ -250,7 +250,7 @@ def test_train_flag_overrides_beat_config(tmp_path):
     assert cli.main(["train", "--config", cfg, "--hidden", "8"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
-    assert summary["n_parameters"] == init_params(mcfg, 0).n_scalars()
+    assert summary["n_parameters"] == init_params(mcfg, 0).flat.size
 
 
 def test_train_rejects_bad_target_before_writing(tmp_path, capsys):
@@ -490,6 +490,11 @@ def test_eval_rejects_a_non_finite_checkpoint(tmp_path, capsys):
         (b"MXMCKPT 1\n-3\n", "negative record count -3"),
         (b"MXMCKPT one\n0\n", "the version is not an integer: 'one'"),
         (b"MXMCKPT 1\n1\nembed/table two 3 4\n", "dimension count of 'embed/table'"),
+        # Each record is checked before anything is read or allocated.
+        (b"MXMCKPT 1\n1\nw 1 100000000000\n", "the data of 'w' needs 800000000000 bytes, 0 are left"),
+        (b"MXMCKPT 1\n1\nw 1 -3\n", "negative dimension in the shape (-3,) of 'w'"),
+        (b"MXMCKPT 1\n1\nw 2 -1 -6\n", "negative dimension in the shape (-1, -6) of 'w'"),
+        (b"MXMCKPT 1\n2\nw 0\n" + bytes(8) + b"w 0\n" + bytes(8), "duplicate parameter 'w'"),
     ],
 )
 def test_eval_rejects_a_malformed_checkpoint_header(tmp_path, capsys, header, reason):

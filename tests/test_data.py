@@ -274,3 +274,8 @@ def test_load_atomrefs(tmp_path):
         with pytest.raises(ParseError) as e:
             load_atomrefs(bad)
         assert e.value.line == 2
+    # An element given twice.
+    bad.write_text("C -1.0\nH -0.5\n\nC -2.0\n")
+    with pytest.raises(ParseError, match="element 'C' given twice, lines 1 and 4") as e:
+        load_atomrefs(bad)
+    assert e.value.line == 4

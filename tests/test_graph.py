@@ -49,7 +49,7 @@ def test_neighbor_search_matches_all_pairs_scan():
         assert np.array_equal(got, _brute_edges(pts, 4.0))
 
 
-def test_cell_list_path_matches_all_pairs_scan():
+def test_row_blocked_pair_scan_matches_all_pairs_scan():
     # 600 points take two row blocks of the pair scan; their pairs must
     # join into the one exact, sorted list
     rng = np.random.default_rng(31)

@@ -84,7 +84,7 @@ def test_init_is_deterministic():
 def test_init_params_fills_a_given_vector():
     cfg = tiny_cfg(n_layers=2)
     fresh = init_params(cfg, seed=3)
-    buf = np.full(fresh.n_scalars(), np.nan)
+    buf = np.full(fresh.flat.size, np.nan)
     into = init_params(cfg, seed=3, out=buf)
     assert into.names() == fresh.names()
     assert np.concatenate([t.data.ravel() for _, t in into.items()]).tobytes() == buf.tobytes()
@@ -121,23 +121,35 @@ def test_init_layout_depends_on_block_order():
 
 
 def test_param_store_guard_rails():
-    store = ParamStore()
-    store.add("a/w", np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        store.add("a/w", np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        store.add("bad name", np.zeros(2))
-    assert store.n_scalars() == 4
-    dup = store.copy()
-    dup["a/w"].data[:] = 7.0
-    assert np.all(store["a/w"].data == 0.0)
-    store.add("b", np.arange(3.0))
-    flat = np.zeros(7)
-    into = store.copy(flat)
-    assert flat.tolist() == [0.0] * 4 + [0.0, 1.0, 2.0]
-    view = store.like(flat)
+    with pytest.raises(ValueError, match="duplicate parameter 'a/w'"):
+        ParamStore([("a/w", (2, 2)), ("a/w", (2, 2))])
+    for bad in ("bad name", "bad\nname"):
+        with pytest.raises(ValueError, match="whitespace"):
+            ParamStore([(bad, (2,))])
+    layout = [("a/w", (2, 2)), ("b", (3,))]
+    for flat in (np.zeros(6), np.zeros(8), np.zeros(7, dtype=np.float32), np.zeros((7, 1))):
+        with pytest.raises(ValueError, match="float64 vector of 7 values"):
+            ParamStore(layout, flat)
+    flat = np.arange(7.0)
+    store = ParamStore(layout, flat)
+    assert store.flat is flat and store.flat.size == 7
+    assert store["a/w"].data.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    assert store.first_non_finite(flat) is None
+    for k, name in enumerate(["a/w"] * 4 + ["b"] * 3):
+        bad = flat.copy()
+        bad[k:] = np.inf
+        assert store.first_non_finite(bad) == name
+    assert not ParamStore(layout).flat.any()
+    other = np.zeros(7)
+    view = store.like(other)
     view["b"].data[0] = 5.0
-    assert into["b"].data[0] == 5.0 and store["b"].data[0] == 0.0
+    assert other[4] == 5.0 and store["b"].data[0] == 4.0
+    grads = np.zeros(7)
+    store.point_grads(grads)
+    store["b"].grad[2] = 1.0
+    assert grads.tolist() == [0.0] * 6 + [1.0]
+    with pytest.raises(ValueError, match="float64 vector"):
+        store.point_grads(np.zeros(6))
 
 
 def test_residual_stack_identity_cases():

@@ -99,20 +99,20 @@ def _sizes(cfg):
     return [math.prod(shape) for _, shape, _ in _param_layout(cfg)]
 
 
-def test_parameter_slices_cover_every_parameter_once_and_balance():
-    # Each rank's Adam and EMA slice is a [lo, hi) range of parameter
-    # positions, so every cut falls on a parameter boundary.
-    for sizes in (_sizes(ModelConfig()), _sizes(TINY), [5], [3, 9]):
-        for n in (1, 2, 3, 4):
-            parts = [training._shard_of(sizes, n, rank) for rank in range(n)]
-            assert parts[0][0] == 0 and parts[-1][1] == len(sizes)
-            assert all(lo <= hi for lo, hi in parts)
-            assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
-            share = sum(sizes) / n
-            held = [sum(sizes[lo:hi]) for lo, hi in parts if lo < hi]
-            if len(held) == n:
-                assert all(abs(h - share) <= max(sizes) for h in held)
-    assert [training._shard_of([5], 3, rank) for rank in range(3)] == [(0, 1), (1, 1), (1, 1)]
+def test_rank_ranges_cover_every_scalar_once_and_balance():
+    # Each rank's Adam and EMA range is its even share of the scalars; a
+    # cut may fall inside a parameter.
+    for n in (0, 1, 5, 7, sum(_sizes(TINY)), sum(_sizes(ModelConfig()))):
+        for n_ranks in (1, 2, 3, 4):
+            parts = [training._even_share(n, n_ranks, rank) for rank in range(n_ranks)]
+            assert parts[0].start == 0 and parts[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+            held = [p.stop - p.start for p in parts]
+            assert min(held) >= 0 and max(held) - min(held) <= 1
+            assert sum(held) == n
+    assert [training._even_share(5, 3, rank) for rank in range(3)] == [
+        slice(0, 1), slice(1, 3), slice(3, 5)
+    ]
 
 
 def test_small_or_single_core_work_stays_in_one_process(monkeypatch):
@@ -258,11 +258,15 @@ def test_diverging_sharded_run_names_the_same_molecule(tmp_path, capsys, shards)
 def test_a_non_finite_gradient_in_rank_1s_slice_fails_as_in_one_rank(
     tmp_path, capsys, monkeypatch, shards
 ):
-    # Rank 0 does not update the last parameter, but checks the whole sum.
+    # The ranks' cut falls inside a parameter, and the bad value lies in
+    # rank 1's part of it: rank 0 does not update it, but checks the whole
+    # sum and names the parameter the same way.
     sizes = _sizes(TINY)
-    name = _param_layout(TINY)[-1][0]
-    lo, hi = training._shard_of(sizes, 2, 1)
-    assert 0 < lo <= len(sizes) - 1 < hi
+    ends = np.cumsum(sizes).tolist()
+    cut = training._even_share(sum(sizes), 2, 1).start
+    k = next(k for k, end in enumerate(ends) if end > cut)
+    assert ends[k] - sizes[k] < cut
+    name = _param_layout(TINY)[k][0]
     stores = []
 
     def kept(*args, **kwargs):
@@ -271,7 +275,7 @@ def test_a_non_finite_gradient_in_rank_1s_slice_fails_as_in_one_rank(
 
     def poisoned(out, tape):
         backward(out, tape)
-        stores[-1][name].grad[...] = np.inf
+        stores[-1][name].grad.reshape(-1)[-1] = np.inf
 
     monkeypatch.setattr(training, "init_params", kept)
     monkeypatch.setattr(training, "backward", poisoned)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mxmnet import fixtures
+from mxmnet import fixtures, training
 from mxmnet.data import Dataset, split_dataset
 from mxmnet.model import ModelConfig, ParamStore, init_params
 from mxmnet.training import (
@@ -22,9 +22,7 @@ from mxmnet.training import (
 
 
 def _store_with(value):
-    store = ParamStore()
-    store.add("p", np.array([float(value)]))
-    return store
+    return ParamStore([("p", (1,))], np.array([float(value)]))
 
 
 def test_train_config_validation():
@@ -64,12 +62,7 @@ def test_train_config_validation():
 def test_adam_zero_gradient_is_a_no_op():
     store = _store_with(0.7)
     state = AdamState(store)
-    store["p"].grad = np.zeros(1)
-    adam_step(store, state, lr=0.1)
-    assert store["p"].data[0] == 0.7
-    # a missing grad buffer counts as zero too
-    store["p"].grad = None
-    adam_step(store, state, lr=0.1)
+    adam_step(store, np.zeros(1), state, lr=0.1)
     assert store["p"].data[0] == 0.7
 
 
@@ -77,8 +70,7 @@ def test_adam_single_step_closed_form():
     # from zero state, bias correction gives a unit first step direction
     store = _store_with(0.0)
     state = AdamState(store)
-    store["p"].grad = np.ones(1)
-    adam_step(store, state, lr=0.1)
+    adam_step(store, np.ones(1), state, lr=0.1)
     want = -0.1 / (1.0 + 1e-8)
     assert abs(store["p"].data[0] - want) < 1e-16
 
@@ -89,8 +81,7 @@ def test_adam_two_steps_match_reference_loop():
     p = 0.3
     m = v = 0.0
     for step in range(1, 3):
-        store["p"].grad = np.full(1, 2.0)
-        adam_step(store, state, lr=0.05)
+        adam_step(store, np.full(1, 2.0), state, lr=0.05)
         m = 0.9 * m + 0.1 * 2.0
         v = 0.999 * v + 0.001 * 4.0
         mhat = m / (1.0 - 0.9**step)
@@ -102,47 +93,75 @@ def test_adam_two_steps_match_reference_loop():
 def test_adam_rejects_non_finite_gradients():
     store = _store_with(0.0)
     state = AdamState(store)
-    store["p"].grad = np.array([np.nan])
     with pytest.raises(FloatingPointError) as e:
-        adam_step(store, state, lr=0.1)
+        adam_step(store, np.array([np.nan]), state, lr=0.1)
     assert "p" in str(e.value)
-    # A slice's update checks every gradient first and changes nothing.
-    store.add("q", np.zeros(2))
-    store["p"].grad = np.ones(1)
-    store["q"].grad = np.array([1.0, np.inf])
+    # A range's update checks the whole gradient first and changes nothing;
+    # the bad scalar is named by its parameter, whether it is the first or
+    # the last one of it.
+    store = ParamStore([("p", (1,)), ("q", (3,)), ("r", (2,))])
     state = AdamState(store)
-    with pytest.raises(FloatingPointError, match="'q'"):
-        adam_step(store, state, lr=0.1, part=slice(0, 1))
-    assert store["p"].data[0] == 0.0 and state.step == 0
+    for bad, name in ((1, "q"), (3, "q"), (0, "p"), (5, "r")):
+        grad = np.ones(6)
+        grad[bad] = np.inf
+        with pytest.raises(FloatingPointError, match=f"parameter '{name}'$"):
+            adam_step(store, grad, state, lr=0.1, part=slice(0, 1))
+    assert not store.flat.any() and not state.m.any() and state.step == 0
 
 
-def test_adam_and_ema_by_slices_match_one_call():
-    # Ranks sharing the vectors each update a slice of the parameters; the
-    # slices together give the bytes of one call over every parameter.
+def _reference_adam(store, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    # One parameter at a time, as the optimizer was written before its state
+    # became flat vectors: the reference for the bytes.
+    c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
+    for name, p in store.items():
+        g, mm, vv = grads[name].data, m[name].data, v[name].data
+        mm *= beta1
+        mm += (1.0 - beta1) * g
+        vv *= beta2
+        vv += (1.0 - beta2) * g * g
+        p.data -= lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
+
+
+def _reference_ema(shadow, store, decay):
+    for name, t in store.items():
+        s = shadow[name].data
+        s *= decay
+        s += (1.0 - decay) * t.data
+
+
+def test_adam_and_ema_over_rank_ranges_match_the_per_parameter_loops(monkeypatch):
+    # Ranks sharing the vectors each update their even share of the
+    # scalars, in blocks of ``_BLOCK``; cuts and block edges fall inside
+    # parameters, and the bytes are those of the per-parameter loops.
+    monkeypatch.setattr(training, "_BLOCK", 7)
     cfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
-    whole, parts = init_params(cfg, seed=4), init_params(cfg, seed=4)
-    n, k = whole.n_scalars(), len(whole)
-    m, v = np.zeros(n), np.zeros(n)
-    slices = [slice(0, 3), slice(3, k // 2), slice(k // 2, None)]
-    state = AdamState(whole)
-    states = [AdamState(parts, m, v) for _ in slices]
-    ema, ema_parts = EmaWeights(whole, 0.9), EmaWeights(parts, 0.9)
+    want = init_params(cfg, seed=4)
+    n = want.flat.size
+    starts = set(np.cumsum([t.data.size for _, t in want.items()]).tolist())
+    assert any(end % 7 for end in starts)  # a block straddles a parameter edge
+    want_m, want_v = want.like(np.zeros(n)), want.like(np.zeros(n))
+    want_ema = want.like(want.flat.copy())
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        grads = rng.standard_normal(n)
-        for store in (whole, parts):
-            for (_, p), g in zip(store.items(), store.views(grads.copy()).values()):
-                p.grad = g
-        adam_step(whole, state, 1e-2)
-        ema.update(whole)
-        for part, st in zip(slices, states):
-            adam_step(parts, st, 1e-2, part)
-            ema_parts.update(parts, part)
-    for name, t in whole.items():
-        assert t.data.tobytes() == parts[name].data.tobytes()
-        assert state.m[name].tobytes() == states[0].m[name].tobytes()
-        assert state.v[name].tobytes() == states[0].v[name].tobytes()
-        assert ema.shadow[name].data.tobytes() == ema_parts.shadow[name].data.tobytes()
+    grads = [rng.standard_normal(n) for _ in range(3)]
+    for step, g in enumerate(grads, start=1):
+        _reference_adam(want, want.like(g), want_m, want_v, step, 1e-2)
+        _reference_ema(want_ema, want, 0.9)
+    for n_ranks in (1, 2, 3, 4):
+        ranges = [training._even_share(n, n_ranks, rank) for rank in range(n_ranks)]
+        if n_ranks > 1:
+            assert any(r.start not in starts for r in ranges[1:])
+        got = init_params(cfg, seed=4)
+        states = [AdamState(got, np.zeros(n), np.zeros(n))]
+        states += [AdamState(got, states[0].m, states[0].v) for _ in ranges[1:]]
+        ema = EmaWeights(got, 0.9)
+        for g in grads:
+            for part, state in zip(ranges, states):
+                adam_step(got, g, state, 1e-2, part)
+                ema.update(got, part)
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert states[0].m.tobytes() == want_m.flat.tobytes()
+        assert states[0].v.tobytes() == want_v.flat.tobytes()
+        assert ema.shadow.flat.tobytes() == want_ema.flat.tobytes()
 
 
 def test_lr_schedule_shape():
