@@ -3,8 +3,10 @@
 Every operation records one step onto the active :class:`Tape`.  Steps are
 appended in execution order, which is already a valid topological order, so
 :func:`backward` simply walks the recorded list in reverse and applies each
-step's gradient rule.  A fresh tape is built per forward pass; graph shape
-may change freely between passes.
+step's gradient rule, starting from a scalar output and the gradient the
+caller gives for it (a loss computed in plain floats stays off the tape).
+A fresh tape is built per forward pass; graph shape may change freely
+between passes.
 
 Design constraints honoured here:
 
@@ -22,10 +24,9 @@ Design constraints honoured here:
   more: ``swish`` its sigmoid and its output, ``mul`` the other operand
   only for an operand that needs a gradient, ``matmul`` its left operand
   for the weight gradient and the row block of its right operand for the
-  input gradient, ``abs_val`` its input; ``add``, ``sub``, ``scale``,
-  ``gather``, ``segment_sum`` and ``sum_all`` read no array.  So once the
-  caller drops an intermediate tensor, numpy frees every array no rule
-  reads during forward;
+  input gradient; ``add``, ``gather``, ``segment_sum`` and ``sum_all``
+  read no array.  So once the caller drops an intermediate tensor, numpy
+  frees every array no rule reads during forward;
 * ``backward`` takes each step's output gradient out of its slot before
   the step's rule runs, so at any moment it holds only the gradients of
   tensors whose producing step is still to come; leaf gradients stay.  A
@@ -58,15 +59,12 @@ __all__ = [
     "ShapeError",
     "backward",
     "add",
-    "sub",
     "mul",
-    "scale",
     "matmul",
     "gather",
     "segment_sum",
     "swish",
     "sum_all",
-    "abs_val",
 ]
 
 
@@ -191,13 +189,16 @@ def _accumulate(slot, g: np.ndarray):
         slot.grad += g
 
 
-def backward(output: Tensor, tape: Tape):
-    """Accumulate d(output)/d(leaf) into ``grad`` of every tracked leaf.
+def backward(output: Tensor, tape: Tape, grad: float = 1.0):
+    """Accumulate ``grad`` * d(output)/d(leaf) into ``grad`` of every
+    tracked leaf.
 
-    ``output`` must be a scalar recorded on ``tape``.  Leaf grad buffers are
-    not cleared first, so backward passes over separate tapes that share
-    parameters add up (gradient accumulation over a batch), and a second
-    pass over one tape adds the same leaf gradients again.
+    ``output`` must be a scalar recorded on ``tape``; ``grad`` is the
+    gradient of whatever the caller computes from it, such as a loss, with
+    respect to ``output``.  Leaf grad buffers are not cleared first, so
+    backward passes over separate tapes that share parameters add up
+    (gradient accumulation over a batch), and a second pass over one tape
+    adds the same leaf gradients again.
 
     Each step's output gradient (``output``'s included) is taken out of its
     slot before the step's rule runs: nothing later on the tape reads it,
@@ -211,7 +212,7 @@ def backward(output: Tensor, tape: Tape):
     seed = output if output.slot is None else output.slot
     if seed.grad is None:
         seed.grad = np.zeros((), dtype=np.float64)
-    seed.grad += 1.0
+    seed.grad += grad
     for op in reversed(tape.ops):
         slot = op.slot
         g = slot.grad
@@ -244,20 +245,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", out, backward_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference, shapes must match."""
-    _same_shape("sub", a, b)
-    sa, sb = _slot_of(a), _slot_of(b)
-    out = Tensor(a.data - b.data, _require_grad(a, b))
-
-    def backward_fn(g):
-        _accumulate(sa, g)
-        if sb is not None:
-            _accumulate(sb, -g)
-
-    return _record("sub", out, backward_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product, shapes must match."""
     _same_shape("mul", a, b)
@@ -273,18 +260,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(sb, g * a_data)
 
     return _record("mul", out, backward_fn)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python constant (not differentiated through)."""
-    c = float(c)
-    sa = _slot_of(a)
-    out = Tensor(a.data * c, a.requires_grad)
-
-    def backward_fn(g):
-        _accumulate(sa, g * c)
-
-    return _record("scale", out, backward_fn)
 
 
 def matmul(
@@ -453,15 +428,3 @@ def sum_all(x: Tensor) -> Tensor:
         _accumulate(sx, np.full(shape, g))
 
     return _record("sum_all", out, backward_fn)
-
-
-def abs_val(x: Tensor) -> Tensor:
-    """Elementwise absolute value; subgradient 0 at exactly 0."""
-    x_data = x.data
-    sx = _slot_of(x)
-    out = Tensor(np.abs(x_data), x.requires_grad)
-
-    def backward_fn(g):
-        _accumulate(sx, g * np.sign(x_data))
-
-    return _record("abs_val", out, backward_fn)

@@ -30,6 +30,7 @@ from .data import (
     load_atomrefs,
     load_manifest,
     split_dataset,
+    subtract_atomrefs,
     target_stats,
 )
 from .model import (
@@ -319,11 +320,16 @@ def cmd_eval(args) -> int:
     mols = ds.subset(args.split)
     if not mols:
         raise ConfigError(f"split {args.split!r} is empty")
+    # Before any featurization, so a bad target or atom reference fails fast.
+    truth = np.array([subtract_atomrefs(m, tcfg.target, tcfg.atomrefs) for m in mols])
+    sigma = None  # std_mae is null without train targets or with a zero std
+    if ds.subset("train"):
+        stats = target_stats(ds, tcfg.target, tcfg.atomrefs)
+        sigma = None if stats.degenerate else stats.std
     prepared = prepare_all(mols, mcfg)
     with _fp_checked():
-        preds, truth = evaluate(params, mols, prepared, mcfg, tcfg)
-    stats = target_stats(ds, tcfg.target, tcfg.atomrefs)
-    met = compute_metrics(preds, truth, None if stats.degenerate else stats.std)
+        preds = evaluate(params, mols, prepared, mcfg)
+    met = compute_metrics(preds, truth, sigma)
     print(
         json.dumps(
             {

@@ -474,8 +474,9 @@ def load_checkpoint(path) -> ParamStore:
     """Read a checkpoint back; byte-exact inverse of :func:`save_checkpoint`.
 
     Raises ``ValueError`` naming the file for a malformed or truncated
-    file, and the parameter too where one is at fault (a negative
-    dimension, more data than bytes left, a repeated name, a non-finite
+    file, or a header line that is not UTF-8, and the parameter or record
+    too where one is at fault (a negative dimension, fields after the
+    dimensions, more data than bytes left, a repeated name, a non-finite
     value), or for bytes after the last record.  Every record is checked
     before any data is read.
     """
@@ -486,29 +487,33 @@ def load_checkpoint(path) -> ParamStore:
         except ValueError:
             raise ValueError(f"{path}: {what} is not an integer: {raw!r}") from None
 
+    def line(fh, what: str) -> str:
+        try:
+            return fh.readline().decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: {what} is not UTF-8 text") from None
+
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic = fh.readline().decode().split()
+        magic = line(fh, "the first line").split()
         if len(magic) != 2 or magic[0] != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         if integer(magic[1], "the version") != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {magic[1]}")
-        count = integer(fh.readline().decode().strip(), "the record count")
+        count = integer(line(fh, "the record count").strip(), "the record count")
         if count < 0:
             raise ValueError(f"{path}: negative record count {count}")
         layout = []
-        for _ in range(count):
-            head = fh.readline().decode().split()
+        for k in range(1, count + 1):
+            head = line(fh, f"the header line of record {k}").split()
             if not head:
                 raise ValueError(f"{path}: truncated checkpoint")
             name = head[0]
             # A name alone matches no dimension count: malformed.
-            ndim = -1
-            if len(head) > 1:
-                ndim = integer(head[1], f"the dimension count of {name!r}")
-            shape = tuple(integer(x, f"a dimension of {name!r}") for x in head[2 : 2 + ndim])
-            if len(shape) != ndim:
+            ndim = integer(head[1], f"the dimension count of {name!r}") if head[1:] else -1
+            if ndim < 0 or len(head) != 2 + ndim:
                 raise ValueError(f"{path}: malformed record for {name!r}")
+            shape = tuple(integer(x, f"a dimension of {name!r}") for x in head[2:])
             if min(shape, default=0) < 0:
                 raise ValueError(f"{path}: negative dimension in the shape {shape} of {name!r}")
             need, left = 8 * math.prod(shape), size - fh.tell()

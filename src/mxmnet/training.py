@@ -1,8 +1,10 @@
 """Optimization: Adam, warmup/decay schedule, EMA weights, the train loop.
 
 Single-target regression on molecule datasets.  Each optimizer step
-averages gradients over a group of molecules (one tape and one backward
-per molecule, losses scaled by 1/group so grads accumulate to the mean).
+averages gradients over a group of molecules: one tape per molecule holds
+its forward pass, the loss is plain float arithmetic on the prediction,
+and backward is seeded with the loss's slope over the group size, so the
+gradients accumulate to the mean.  Targets are computed once per run.
 Validation always runs on the exponential moving average of the weights;
 the best-validation EMA snapshot is what training returns and checkpoints.
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, abs_val, backward, mul, scale, sub
+from .autodiff import Tape, backward
 from .data import Dataset, subtract_atomrefs
 from .graph import count_messages
 from .model import (
@@ -298,10 +300,10 @@ def evaluate(
     molecules,
     prepared,
     model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
     ranks: _RankGroup | None = None,
 ):
-    """Predictions and truths over a molecule list, no tape, fixed weights.
+    """Predictions over a molecule list, one per molecule in an array, no
+    tape, fixed weights.
 
     A non-finite prediction raises ``FloatingPointError`` naming the
     molecule.  The molecules are split across the processes of ``ranks``,
@@ -312,21 +314,19 @@ def evaluate(
     n = len(molecules)
     costs = _message_costs(prepared)
 
-    def predict(lo, hi, rows):
+    def predict(lo, hi, row):
         for k in range(lo, hi):
             m = molecules[k]
-            rows[1, k] = forward(m, params, model_cfg, feats=prepared[k][1]).item()
-            if not math.isfinite(rows[1, k]):
+            row[k] = forward(m, params, model_cfg, feats=prepared[k][1]).item()
+            if not math.isfinite(row[k]):
                 raise FloatingPointError(f"non-finite prediction for molecule {m.key!r}")
-            rows[2, k] = subtract_atomrefs(m, train_cfg.target, train_cfg.atomrefs)
 
     if ranks is None:
         group = _RankGroup(_plan_ranks(costs), 0, n)
     else:
         group = contextlib.nullcontext(ranks)
     with group as ranks:
-        rows = ranks.run(costs, predict)
-        return rows[1, :n].copy(), rows[2, :n].copy()
+        return ranks.run(costs, predict)[:n].copy()
 
 
 def train(
@@ -352,11 +352,10 @@ def train(
     val_mols = ds.subset("val")
     if not train_mols:
         raise ValueError("training split is empty")
-    # Fail fast on a bad target name, before any featurization.
+    # Once per run, and before any featurization: a bad target name fails fast.
     target, refs = train_cfg.target, train_cfg.atomrefs
-    truths = [subtract_atomrefs(m, target, refs) for m in train_mols]
-    for m in val_mols:
-        subtract_atomrefs(m, target, refs)
+    truths = np.array([subtract_atomrefs(m, target, refs) for m in train_mols])
+    val_truths = np.array([subtract_atomrefs(m, target, refs) for m in val_mols])
 
     train_prep = prepare_all(train_mols, model_cfg)
     val_prep = prepare_all(val_mols, model_cfg)
@@ -395,24 +394,22 @@ def train(
             for lo in range(0, n, group):
                 chunk = order[lo : lo + group]
 
-                def accumulate(a, b, rows, chunk=chunk):
+                def accumulate(a, b, row, chunk=chunk):
                     for pos in range(a, b):
                         idx = chunk[pos]
                         m = train_mols[idx]
                         with Tape() as tape:
                             y = forward(m, params, model_cfg, feats=train_prep[idx][1])
-                            err = sub(y, _scalar(truths[idx]))
-                            loss = abs_val(err) if train_cfg.loss == "mae" else mul(err, err)
-                            scaled = scale(loss, 1.0 / len(chunk))
-                        backward(scaled, tape)
-                        rows[0, pos] = loss.item()
-                        if not math.isfinite(rows[0, pos]):
+                        loss, slope = _loss(y.item() - truths[idx], train_cfg.loss)
+                        if not math.isfinite(loss):
                             raise FloatingPointError(
                                 f"non-finite loss for molecule {m.key!r} at epoch {epoch}"
                             )
+                        backward(y, tape, (1.0 / len(chunk)) * slope)
+                        row[pos] = loss
 
-                rows = ranks.run([costs[i] for i in chunk], accumulate, grads=True)
-                losses[chunk] = rows[0, : len(chunk)]
+                row = ranks.run([costs[i] for i in chunk], accumulate, grads=True)
+                losses[chunk] = row[: len(chunk)]
                 lr = lr_at(
                     state.step,
                     steps_per_epoch,
@@ -425,10 +422,8 @@ def train(
                 ema.update(params, mine)
             val_mae = math.nan
             if val_mols:
-                preds, vt = evaluate(
-                    ema.shadow, val_mols, val_prep, model_cfg, train_cfg, ranks
-                )
-                val_mae = float(np.mean(np.abs(preds - vt)))
+                preds = evaluate(ema.shadow, val_mols, val_prep, model_cfg, ranks)
+                val_mae = float(np.mean(np.abs(preds - val_truths)))
             report.epochs.append(
                 EpochStats(
                     epoch=epoch,
@@ -455,13 +450,18 @@ def train(
             best = ema.shadow
             if report.epochs:
                 report.best_epoch = report.epochs[-1].epoch
-        preds, tt = evaluate(best, train_mols, train_prep, model_cfg, train_cfg, ranks)
-        report.final_train_mae = float(np.mean(np.abs(preds - tt)))
+        preds = evaluate(best, train_mols, train_prep, model_cfg, ranks)
+        report.final_train_mae = float(np.mean(np.abs(preds - truths)))
         return TrainResult(report=report, params=best)
 
 
-def _scalar(x: float) -> Tensor:
-    return Tensor(np.asarray(x, dtype=np.float64))
+def _loss(r: float, kind: str) -> tuple[float, float]:
+    """A molecule's loss for the residual ``r`` (prediction minus truth)
+    and its slope d(loss)/dr: absolute, with slope 0 at ``r == 0``, for
+    ``mae``; squared for ``mse``."""
+    if kind == "mae":
+        return abs(r), np.sign(r)
+    return r * r, 2 * r
 
 
 # --- rank group --------------------------------------------------------------
@@ -583,12 +583,12 @@ class _RankGroup:
     is its own.  The ranks share one ``MAP_SHARED`` anonymous mapping made
     before the fork: the summed gradient ``grad`` of ``n_grads`` values,
     ``n_state`` more vectors of that length (``state``, zeros until the
-    caller fills them), and three rows of ``n_rows`` values (losses,
-    predictions, truths).  A one-rank group holds them on the heap.  Each
-    rank accumulates into ``own_grad``, ``grad`` itself on rank 0.  Every
-    ``run`` starts at a barrier, so no rank writes the rows, the gradient
-    vectors, or its own part of ``state`` while another still reads what
-    it held before.
+    caller fills them), and one row of ``n_rows`` values, one per item of
+    a ``run`` (a loss or a prediction).  A one-rank group holds them on
+    the heap.  Each rank accumulates into ``own_grad``, ``grad`` itself on
+    rank 0.  Every ``run`` starts at a barrier, so no rank writes the row,
+    the gradient vectors, or its own part of ``state`` while another still
+    reads what it held before.
 
     A rank's exception reaches rank 0 at the next barrier, ranks in order,
     so the earliest failing shard's wins; a rank that ends without a result
@@ -600,7 +600,7 @@ class _RankGroup:
     def __init__(self, size: int, n_grads: int, n_rows: int, n_state: int = 0):
         self.size = size
         self.rank = 0
-        words = (1 + n_state) * n_grads + 3 * n_rows
+        words = (1 + n_state) * n_grads + n_rows
         if size > 1:
             mem = mmap.mmap(-1, 8 * max(words, 1), flags=mmap.MAP_SHARED)
             flat = np.frombuffer(mem, dtype=np.float64, count=words)
@@ -609,7 +609,7 @@ class _RankGroup:
             flat = np.zeros(words)
         vectors = flat[: (1 + n_state) * n_grads].reshape(1 + n_state, n_grads)
         self.grad, self.state = vectors[0], vectors[1:]
-        self._rows = flat[(1 + n_state) * n_grads :].reshape(3, n_rows)
+        self._row = flat[(1 + n_state) * n_grads :]
         self.own_grad = self.grad  # a private vector past rank 0 (``_fork``)
         self._others = []  # rank 0: (pid, down fd, up fd) of ranks 1, 2, ...
         self._status = {}  # rank 0: wait status of each reaped rank
@@ -725,17 +725,16 @@ class _RankGroup:
     # --- work ----------------------------------------------------------------
 
     def run(self, costs, work, grads: bool = False):
-        """Run ``work(lo, hi, rows)`` on this rank's shard of a list of
+        """Run ``work(lo, hi, row)`` on this rank's shard of a list of
         items with these costs (contiguous, balanced by ``_shard_bounds``),
-        then wait for every rank's; return ``rows`` filled by all.
+        then wait for every rank's; return ``row`` filled by all.
 
         It starts at a barrier, so whatever the ranks wrote to the group's
-        memory before the call is in place for all of them.  ``rows`` holds
-        a loss, a prediction and a truth per item (rows 0, 1 and 2); each
-        rank writes its own items' columns.  With ``grads``, ``work`` also
-        accumulates gradients into ``own_grad``, zeroed first, and on return
-        ``grad`` holds the total, shard 0 + shard 1 + ..., until the next
-        call.
+        memory before the call is in place for all of them.  ``row`` holds
+        one value per item, and each rank writes its own items' entries;
+        the next call reuses it.  With ``grads``, ``work`` also accumulates
+        gradients into ``own_grad``, zeroed first, and on return ``grad``
+        holds the total, shard 0 + shard 1 + ..., until the next call.
         """
         if self.size > 1:
             self._meet(False)
@@ -744,14 +743,14 @@ class _RankGroup:
         bounds = _shard_bounds(costs, self.size)  # a rank past the last gets none
         lo, hi = bounds[self.rank] if self.rank < len(bounds) else (len(costs),) * 2
         try:
-            work(lo, hi, self._rows)
+            work(lo, hi, self._row)
         except Exception as e:
             if self.rank:
                 self._fail(e)
             raise
         if self.size > 1:
             self._meet(grads)
-        return self._rows
+        return self._row
 
     def _meet(self, grads: bool):
         """Wait until every rank is here.  With ``grads``, the ranks past

@@ -428,6 +428,37 @@ def test_featurization_error_names_the_molecule(tmp_path, capsys, command):
     assert err == "error: molecule 'dup.extxyz': distances must be strictly positive\n"
 
 
+def test_eval_rejects_a_bad_target_before_featurizing(tmp_path, capsys):
+    mols = fixtures.overfit_set(8, seed=7)
+    mols[5] = Molecule([1, 1], [[0.0, 0.0, 0.0]] * 2, targets={"u0": 0.5}, key="dup")
+    manifest = fixtures.write_molecule_dir(mols, tmp_path / "mols")
+    cfg = _train_cfg_file(
+        tmp_path, manifest, tmp_path / "run", target="nope",
+        train_frac=0.5, val_frac=0.0, test_frac=0.5,
+    )
+    ckpt = str(tmp_path / "one.ckpt")
+    save_checkpoint(init_params(ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)), ckpt)
+    for split in ("train", "test"):
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", ckpt, "--split", split]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "no target 'nope'" in err
+
+
+def test_eval_scores_a_dataset_without_a_train_split(tmp_path, capsys):
+    manifest = _overfit_manifest(tmp_path)
+    cfg = _train_cfg_file(
+        tmp_path, manifest, tmp_path / "run", train_frac=0.0, val_frac=0.0, test_frac=1.0
+    )
+    ckpt = str(tmp_path / "one.ckpt")
+    save_checkpoint(init_params(ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)), ckpt)
+    assert cli.main(["eval", "--config", cfg, "--checkpoint", ckpt]) == 0
+    out, err = capsys.readouterr()
+    met = json.loads(out)
+    assert err == "" and met["n"] == 8
+    assert math.isfinite(met["mae"]) and met["std_mae"] is None
+
+
 @pytest.mark.parametrize("flags", [["--dl", "nan"], ["--dg", "inf"]])
 def test_eval_rejects_non_finite_cutoffs(tmp_path, capsys, flags):
     manifest = _overfit_manifest(tmp_path)
@@ -495,6 +526,14 @@ def test_eval_rejects_a_non_finite_checkpoint(tmp_path, capsys):
         (b"MXMCKPT 1\n1\nw 1 -3\n", "negative dimension in the shape (-3,) of 'w'"),
         (b"MXMCKPT 1\n1\nw 2 -1 -6\n", "negative dimension in the shape (-1, -6) of 'w'"),
         (b"MXMCKPT 1\n2\nw 0\n" + bytes(8) + b"w 0\n" + bytes(8), "duplicate parameter 'w'"),
+        # Fields past the dimensions.
+        (b"MXMCKPT 1\n1\nw 0 extra\n" + bytes(8), "malformed record for 'w'"),
+        (b"MXMCKPT 1\n1\nw 1 2 3\n" + bytes(16), "malformed record for 'w'"),
+        # Bytes that are not UTF-8 in a header line.
+        (b"\xff\xfeMXMCKPT 1\n0\n", "the first line is not UTF-8 text"),
+        (b"MXMCKPT 1\n\xff\n", "the record count is not UTF-8 text"),
+        (b"MXMCKPT 1\n2\nw 0\n" + bytes(8) + b"\xff 0\n" + bytes(8),
+         "the header line of record 2 is not UTF-8 text"),
     ],
 )
 def test_eval_rejects_a_malformed_checkpoint_header(tmp_path, capsys, header, reason):

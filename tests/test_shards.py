@@ -131,15 +131,12 @@ def test_small_or_single_core_work_stays_in_one_process(monkeypatch):
 def test_sharded_evaluate_is_bit_identical_to_one_shard(shards):
     mols, prepared = _prepared(8)
     params = init_params(TINY, 3)
-    tcfg = TrainConfig(target="u0")
-    one = evaluate(params, mols, prepared, TINY, tcfg)
+    one = evaluate(params, mols, prepared, TINY)
     shards(2)
     assert training._plan_ranks(training._message_costs(prepared)) == 2
-    two = evaluate(params, mols, prepared, TINY, tcfg)
-    for a, b in zip(one, two):
-        assert a.tobytes() == b.tobytes()
-    empty = evaluate(params, [], [], TINY, tcfg)
-    assert [a.shape for a in empty] == [(0,), (0,)]
+    two = evaluate(params, mols, prepared, TINY)
+    assert one.shape == (8,) and one.tobytes() == two.tobytes()
+    assert evaluate(params, [], [], TINY).shape == (0,)
     _no_children_left()
 
 
@@ -198,7 +195,8 @@ def test_a_two_rank_result_outlives_its_group(tmp_path, shards):
         # They are the weights the report's figures were measured on.
         split = "val" if fractions[1] else "train"
         mols_used = ds.subset(split)
-        preds, truths = evaluate(two, mols_used, prepare_all(mols_used, TINY), TINY, tcfg)
+        preds = evaluate(two, mols_used, prepare_all(mols_used, TINY), TINY)
+        truths = np.array([m.targets["u0"] for m in mols_used])
         mae = float(np.mean(np.abs(preds - truths)))
         report = result.report
         assert mae == (report.best_val_mae if fractions[1] else report.final_train_mae)
@@ -273,8 +271,8 @@ def test_a_non_finite_gradient_in_rank_1s_slice_fails_as_in_one_rank(
         stores.append(init_params(*args, **kwargs))
         return stores[-1]
 
-    def poisoned(out, tape):
-        backward(out, tape)
+    def poisoned(out, tape, grad):
+        backward(out, tape, grad)
         stores[-1][name].grad.reshape(-1)[-1] = np.inf
 
     monkeypatch.setattr(training, "init_params", kept)
@@ -321,7 +319,6 @@ def _failing_forward(monkeypatch, fail):
 def test_earliest_failing_shard_wins_with_its_type_and_message(monkeypatch, shards):
     mols, prepared = _prepared(6)
     params = init_params(TINY, 3)
-    tcfg = TrainConfig(target="u0")
     shards(3)
     bounds = training._shard_bounds(training._message_costs(prepared), 3)
     assert len(bounds) == 3
@@ -336,7 +333,7 @@ def test_earliest_failing_shard_wins_with_its_type_and_message(monkeypatch, shar
 
     _failing_forward(monkeypatch, fail_past_first)
     with pytest.raises(KeyError) as e:
-        evaluate(params, mols, prepared, TINY, tcfg)
+        evaluate(params, mols, prepared, TINY)
     assert e.value.args == (f"molecule {mols[bounds[1][0]].key}",)
     _no_children_left()
 
@@ -345,7 +342,7 @@ def test_earliest_failing_shard_wins_with_its_type_and_message(monkeypatch, shar
 
     _failing_forward(monkeypatch, fail_everywhere)
     with pytest.raises(FloatingPointError, match=f"^molecule {mols[0].key}$"):
-        evaluate(params, mols, prepared, TINY, tcfg)
+        evaluate(params, mols, prepared, TINY)
     _no_children_left()
 
 
@@ -375,7 +372,6 @@ def test_a_dying_child_raises_instead_of_hanging(monkeypatch, shards):
 def test_interrupt_kills_and_reaps_children_and_restores_blas(monkeypatch, shards):
     mols, prepared = _prepared(4)
     params = init_params(TINY, 3)
-    tcfg = TrainConfig(target="u0")
     shards(2)
     get_threads, set_threads = training._openblas()
     original = get_threads()
@@ -394,7 +390,7 @@ def test_interrupt_kills_and_reaps_children_and_restores_blas(monkeypatch, shard
     t0 = time.perf_counter()
     try:
         with pytest.raises(KeyboardInterrupt):
-            evaluate(params, mols, prepared, TINY, tcfg)
+            evaluate(params, mols, prepared, TINY)
         after = get_threads()
     finally:
         set_threads(original)

@@ -322,6 +322,17 @@ def test_early_stopping_counts_epochs():
     assert report.best_epoch == 0
 
 
+@pytest.mark.parametrize("kind, loss", [("mae", abs), ("mse", lambda r: r * r)])
+def test_loss_slope_matches_central_differences(kind, loss):
+    h = 1e-6
+    for r in (-2.5, -0.3, 1e-3, 0.7, 4.0):
+        value, slope = training._loss(r, kind)
+        assert value == loss(r)
+        fd = (loss(r + h) - loss(r - h)) / (2 * h)
+        assert abs(slope - fd) <= 1e-8 * max(1.0, abs(fd))
+    assert training._loss(0.0, kind) == (0.0, 0.0)
+
+
 def test_validation_reads_averaged_weights():
     # with a huge learning rate the raw weights jump far away while the
     # averaged shadow barely moves; recorded validation must track the shadow
@@ -337,9 +348,8 @@ def test_validation_reads_averaged_weights():
     init = init_params(mcfg, seed=5)
     val_mols = ds.subset("val")
     prepared = prepare_all(val_mols, mcfg)
-    tcfg = TrainConfig(**common)
-    preds, truth = evaluate(init, val_mols, prepared, mcfg, tcfg)
-    init_val = float(np.mean(np.abs(preds - truth)))
+    truth = np.array([m.targets["u0"] for m in val_mols])
+    init_val = float(np.mean(np.abs(evaluate(init, val_mols, prepared, mcfg) - truth)))
 
     drift_slow = abs(slow.epochs[1].val_mae - init_val)
     drift_fast = abs(fast.epochs[1].val_mae - init_val)
@@ -355,7 +365,8 @@ def test_validation_with_decay_zero_tracks_raw_weights():
     result = train(ds, mcfg, tcfg)
     val_mols = ds.subset("val")
     prepared = prepare_all(val_mols, mcfg)
-    preds, truth = evaluate(result.params, val_mols, prepared, mcfg, tcfg)
+    preds = evaluate(result.params, val_mols, prepared, mcfg)
+    truth = np.array([m.targets["u0"] for m in val_mols])
     assert float(np.mean(np.abs(preds - truth))) == result.report.epochs[0].val_mae
 
 
