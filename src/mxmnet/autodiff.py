@@ -346,8 +346,10 @@ def _scatter_sum(data, index, num):
     """Sum rows of ``data`` into ``num`` buckets by ``index``.
 
     Each bucket adds its rows in input order; empty buckets come out as
-    zero rows.  An ascending ``index`` (every model caller's) is its own
-    stable sort, so it skips the sort and the reordered copy of ``data``.
+    zero rows.  An ascending ``index`` is its own stable sort, so it skips
+    the sort and the reordered copy of ``data``.  The model's
+    ``segment_sum`` calls pass ascending indices; ``gather``'s backward over
+    edge sources, triple edge ids or atomic numbers does not, and sorts.
     """
     out = np.zeros((num,) + data.shape[1:], dtype=np.float64)
     if index.size:

@@ -23,7 +23,7 @@ edge and its reverse have the same length to the bit, so both are computed
 once per undirected pair and gathered onto the directed edges and the
 triples.  The one-hop triples list the same angles as the two-hop triples,
 so the angles and the spherical basis are computed for the two-hop family
-and the one-hop rows are a permutation of them.
+and the one-hop rows gather them through ``AngleTriples.one_hop_rows``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cache
 import numpy as np
 
 from .data import Molecule
-from .graph import MultiplexGraph, enumerate_angle_triples, one_hop_rows, reverse_edges
+from .graph import MultiplexGraph, enumerate_angle_triples, reverse_edges
 
 __all__ = [
     "N_RBF",
@@ -373,7 +373,7 @@ def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricF
     absolute positions.  Lengths and both radial parts are computed once per
     undirected pair.  Angles and the spherical basis are computed for the
     two-hop triples only: every one-hop row is a two-hop row (the same
-    triple), so ``sbf_one`` is ``sbf_two`` permuted, bit for bit.
+    triple), so ``sbf_one`` is ``sbf_two[triples.one_hop_rows]``.
     """
     triples = enumerate_angle_triples(g)
     coords = m.coords
@@ -391,7 +391,7 @@ def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricF
         local_cutoff,
         edge=local_pair[triples.two_hop_edge],
     )
-    sbf_one = sbf_two[one_hop_rows(triples, local_reverse)]
+    sbf_one = sbf_two[triples.one_hop_rows]
 
     return GeometricFeatures(
         n_nodes=m.n_atoms,

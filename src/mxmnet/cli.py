@@ -147,6 +147,8 @@ def _settings(args) -> dict:
     for key, spec in _KEYS.items():
         if spec.flag and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "build_multiplex",
     "enumerate_angle_triples",
     "reverse_edges",
-    "one_hop_rows",
     "count_angles",
     "count_messages",
     "dump_graph",
@@ -207,6 +206,9 @@ class AngleTriples:
     the angle sits at j between rays j->k and j->i.
     one_hop rows (jp, i, j): jp in N(i) \\ {j} for each directed edge (j, i);
     the angle sits at i between rays i->jp and i->j.
+
+    Both list the same triples: one-hop row (jp -> i, j -> i) is two-hop
+    row (jp -> i, i -> j), so ``one_hop == two_hop[one_hop_rows]``.
     """
 
     two_hop: np.ndarray  # (t2, 3)
@@ -215,7 +217,8 @@ class AngleTriples:
     two_hop_edge: np.ndarray  # edge id of (k -> j)
     two_hop_target: np.ndarray  # edge id of (j -> i)
     one_hop_edge: np.ndarray  # edge id of (jp -> i)
-    one_hop_target: np.ndarray  # edge id of (j -> i)
+    one_hop_target: np.ndarray  # edge id of (j -> i), ascending
+    one_hop_rows: np.ndarray  # two-hop row of each one-hop row
 
 
 def _edges_into(ptr: np.ndarray, nodes: np.ndarray):
@@ -235,10 +238,12 @@ def _edges_into(ptr: np.ndarray, nodes: np.ndarray):
 def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
     """List every two-hop and one-hop angle triple of the local layer.
 
-    Triples are emitted in local edge order with neighbors ascending, so
-    the output is deterministic for a given graph.  Relies on the edges
-    being sorted by (i, j), as :meth:`MultiplexGraph.validate` checks: the
-    edges into node v are then rows ptr[v]:ptr[v + 1], sources ascending.
+    Two-hop triples are emitted in local edge order with neighbors
+    ascending.  Relies on the edges being sorted by (i, j), as
+    :meth:`MultiplexGraph.validate` checks: the edges into node v are then
+    rows ptr[v]:ptr[v + 1], sources ascending.  The one-hop family is the
+    two-hop family stably sorted by the reverse of each row's target edge:
+    targets in edge order, and for each the edges (jp -> i), jp ascending.
     """
     edges = np.asarray(g.local_edges, dtype=np.int64)
     src, dst = edges[:, 0], edges[:, 1]
@@ -247,32 +252,18 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
     t2t, t2e = _edges_into(ptr, src)
     keep = src[t2e] != dst[t2t]
     t2t, t2e = t2t[keep], t2e[keep]
-    # one-hop: for edge e = (j -> i), each edge (jp -> i) with jp != j
-    t1t, t1e = _edges_into(ptr, dst)
-    keep = src[t1e] != src[t1t]
-    t1t, t1e = t1t[keep], t1e[keep]
+    two_hop = np.stack([src[t2e], src[t2t], dst[t2t]], axis=1)
+    t1t = reverse_edges(edges, g.n_nodes)[t2t]
+    order = np.argsort(t1t, kind="stable")
     return AngleTriples(
-        two_hop=np.stack([src[t2e], src[t2t], dst[t2t]], axis=1),
-        one_hop=np.stack([src[t1e], dst[t1t], src[t1t]], axis=1),
+        two_hop=two_hop,
+        one_hop=two_hop[order],
         two_hop_edge=t2e,
         two_hop_target=t2t,
-        one_hop_edge=t1e,
-        one_hop_target=t1t,
+        one_hop_edge=t2e[order],
+        one_hop_target=t1t[order],
+        one_hop_rows=order,
     )
-
-
-def one_hop_rows(triples: AngleTriples, reverse: np.ndarray) -> np.ndarray:
-    """The two-hop row that lists each one-hop triple.
-
-    One-hop row (jp -> i, j -> i) and two-hop row (jp -> i, i -> j) are the
-    same triple (jp, i, j): the angle at i between jp and j, on edge
-    jp -> i.  ``reverse`` is :func:`reverse_edges` of the local layer.  Two-hop
-    rows ascend in (target, edge), so one search finds them all.
-    """
-    n_edges = reverse.size
-    two_hop = triples.two_hop_target * n_edges + triples.two_hop_edge
-    one_hop = reverse[triples.one_hop_target] * n_edges + triples.one_hop_edge
-    return np.searchsorted(two_hop, one_hop)
 
 
 def count_angles(n_nodes: int, undirected_edges) -> int:

@@ -102,6 +102,8 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_group < 1:
             raise ValueError("batch_group must be at least 1")
+        if self.patience < 1:
+            raise ValueError(f"patience must be at least 1, got {self.patience}")
         if not 0.0 < self.base_lr < math.inf:
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0.0 <= self.warmup_epochs < math.inf:
@@ -605,7 +607,8 @@ class _RankGroup:
             mem = mmap.mmap(-1, 8 * max(words, 1), flags=mmap.MAP_SHARED)
             flat = np.frombuffer(mem, dtype=np.float64, count=words)
         else:
-            # Nothing to share: the heap, zeroed like a fresh mapping.
+            # Nothing to share: the heap, where numpy asks for huge pages.  A
+            # shared mapping (shmem) usually gets none: first touch 2-3x slower.
             flat = np.zeros(words)
         vectors = flat[: (1 + n_state) * n_grads].reshape(1 + n_state, n_grads)
         self.grad, self.state = vectors[0], vectors[1:]

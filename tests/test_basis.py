@@ -23,7 +23,7 @@ from mxmnet.basis import (
     zonal_harmonic,
 )
 from mxmnet.data import Molecule
-from mxmnet.graph import build_multiplex, enumerate_angle_triples, one_hop_rows, reverse_edges
+from mxmnet.graph import build_multiplex, enumerate_angle_triples
 from mxmnet.model import ModelConfig, prepare_inputs
 
 mpmath.mp.dps = 50
@@ -346,8 +346,10 @@ def test_one_hop_rows_are_two_hop_rows_bit_for_bit():
                 perm.append(two_hop_row[(e, edge_id[(i, j)])])
             assert sorted(perm) == list(range(len(two_hop_row)))
             perm = np.array(perm, dtype=np.int64)
-            reverse = reverse_edges(g.local_edges, g.n_nodes)
-            assert np.array_equal(one_hop_rows(enumerate_angle_triples(g), reverse), perm)
+            t = enumerate_angle_triples(g)
+            assert np.array_equal(t.one_hop_rows, perm)
+            assert np.array_equal(t.one_hop, t.two_hop[t.one_hop_rows])
+            assert np.all(np.diff(t.one_hop_target) >= 0)
             assert f.sbf_one.shape == (perm.size, N_SHBF * N_SRBF)
             assert f.sbf_one.tobytes() == f.sbf_two[perm].tobytes(), (rule, m.key)
             mapped += perm.size

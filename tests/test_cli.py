@@ -299,6 +299,17 @@ def test_diverging_train_prints_only_its_error_line(tmp_path):
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_negative_seed_is_named_from_flag_and_file(tmp_path, capsys, command):
+    # verify would otherwise report numpy's error as six failed checks.
+    out = tmp_path / "run"
+    cfg = _train_cfg_file(tmp_path, _overfit_manifest(tmp_path), out, seed=-4)
+    for flags, seed in ((["--seed", "-1"], -1), ([], -4)):
+        assert cli.main([command, "--config", cfg, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: seed must be non-negative, got {seed}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lr", ["inf", "nan"])
 def test_train_rejects_non_finite_learning_rate(tmp_path, capsys, lr):
     manifest = _overfit_manifest(tmp_path)

@@ -326,6 +326,9 @@ def _triples_by_edge_loop(g):
                 t1.append((jp, i, j))
                 t1e.append(edge_id[(jp, i)])
                 t1t.append(e)
+    # One-hop row (jp -> i, j -> i) is two-hop row (jp -> i, i -> j).
+    two_hop_row = {pair: row for row, pair in enumerate(zip(t2e, t2t))}
+    t1r = [two_hop_row[(e, edge_id[(i, j)])] for (_, i, j), e in zip(t1, t1e)]
     return {
         "two_hop": np.array(t2, dtype=np.int64).reshape(-1, 3),
         "one_hop": np.array(t1, dtype=np.int64).reshape(-1, 3),
@@ -333,6 +336,7 @@ def _triples_by_edge_loop(g):
         "two_hop_target": np.array(t2t, dtype=np.int64),
         "one_hop_edge": np.array(t1e, dtype=np.int64),
         "one_hop_target": np.array(t1t, dtype=np.int64),
+        "one_hop_rows": np.array(t1r, dtype=np.int64),
     }
 
 

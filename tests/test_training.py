@@ -36,6 +36,9 @@ def test_train_config_validation():
         TrainConfig(target="u0", base_lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(target="u0", ema_decay=1.0)
+    for patience in (0, -3):
+        with pytest.raises(ValueError, match=f"patience must be at least 1, got {patience}"):
+            TrainConfig(target="u0", patience=patience)
     bad_schedules = [
         dict(base_lr=math.inf),
         dict(base_lr=math.nan),
