@@ -17,13 +17,16 @@ argument is below the degree) and all 7 angular degrees of a triple in one
 Legendre recurrence.  The Bessel recurrence takes each sine and cosine
 once.
 
-:func:`featurize` computes each value once.  The radial basis and the
-radial part of the spherical basis depend on the edge length only, and an
-edge and its reverse have the same length to the bit, so both are computed
-once per undirected pair and gathered onto the directed edges and the
-triples.  The one-hop triples list the same angles as the two-hop triples,
-so the angles and the spherical basis are computed for the two-hop family
-and the one-hop rows gather them through ``AngleTriples.one_hop_rows``.
+:func:`featurize` takes what one molecule's bases need: its pair lengths
+and angle triples.  :func:`evaluate_bases` then evaluates the bases for a
+list of molecules at once, a few calls per basis rather than a few per
+molecule, and computes each value once.  The radial basis and the radial
+part of the spherical basis depend on the edge length only, and an edge and
+its reverse have the same length to the bit, so both are computed once per
+undirected pair and gathered onto the directed edges and the triples.  The
+one-hop triples list the same angles as the two-hop triples, so the angles
+and the spherical basis are computed for the two-hop family and the one-hop
+rows gather them through ``AngleTriples.one_hop_rows``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "angle_between",
     "GeometricFeatures",
     "featurize",
+    "evaluate_bases",
 ]
 
 N_RBF = 16  # radial components per edge
@@ -322,27 +326,68 @@ def angle_between(origin, a, b) -> np.ndarray:
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-@dataclass
 class GeometricFeatures:
     """Per-molecule geometry tensors the model consumes.
 
     Edge index arrays mirror the graph's directed edge lists; the triple
     index arrays point into the local edge list (which row feeds which).
+    The four basis matrices are evaluated by :func:`evaluate_bases`, for
+    many molecules at once; features that no call has filled fill
+    themselves, alone, when a matrix is first read.
     """
 
-    n_nodes: int
-    local_src: np.ndarray
-    local_dst: np.ndarray
-    global_src: np.ndarray
-    global_dst: np.ndarray
-    rbf_local: np.ndarray  # (E_l, 16)
-    rbf_global: np.ndarray  # (E_g, 16)
-    sbf_two: np.ndarray  # (T2, 42)
-    sbf_one: np.ndarray  # (T1, 42)
-    two_hop_edge: np.ndarray
-    two_hop_target: np.ndarray
-    one_hop_edge: np.ndarray
-    one_hop_target: np.ndarray
+    def __init__(self, n_nodes, local_edges, global_edges, triples, inputs):
+        self.n_nodes = n_nodes
+        self.local_src = local_edges[:, 0].copy()
+        self.local_dst = local_edges[:, 1].copy()
+        self.global_src = global_edges[:, 0].copy()
+        self.global_dst = global_edges[:, 1].copy()
+        self.two_hop_edge = triples.two_hop_edge
+        self.two_hop_target = triples.two_hop_target
+        self.one_hop_edge = triples.one_hop_edge
+        self.one_hop_target = triples.one_hop_target
+        # What the bases are evaluated from; None once they are.
+        self._inputs = inputs
+        self._bases = None
+
+    def _evaluated(self):
+        if self._bases is None:
+            evaluate_bases([self])
+        return self._bases
+
+    @property
+    def rbf_local(self) -> np.ndarray:
+        """(E_l, 16) radial rows of the local edges."""
+        return self._evaluated()[0]
+
+    @property
+    def rbf_global(self) -> np.ndarray:
+        """(E_g, 16) radial rows of the global edges."""
+        return self._evaluated()[1]
+
+    @property
+    def sbf_two(self) -> np.ndarray:
+        """(T2, 42) spherical rows of the two-hop triples."""
+        return self._evaluated()[2]
+
+    @property
+    def sbf_one(self) -> np.ndarray:
+        """(T1, 42) spherical rows of the one-hop triples."""
+        return self._evaluated()[3]
+
+
+@dataclass
+class _BasisInputs:
+    coords: np.ndarray
+    two_hop: np.ndarray  # (T2, 3) atom rows (k, j, i)
+    d_local: np.ndarray  # one length per undirected local pair
+    local_pair: np.ndarray  # pair row of each local edge
+    d_global: np.ndarray
+    global_pair: np.ndarray
+    angle_pair: np.ndarray  # pair row of each two-hop triple's (k -> j)
+    one_hop_rows: np.ndarray
+    local_cutoff: float
+    global_cutoff: float
 
 
 def _edge_lengths(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -361,50 +406,100 @@ def _pair_lengths(coords: np.ndarray, edges: np.ndarray, reverse: np.ndarray):
     """
     first = np.arange(reverse.size) < reverse
     rank = np.cumsum(first) - 1
-    return _edge_lengths(coords, edges[first]), np.where(first, rank, rank[reverse])
+    d = _edge_lengths(coords, edges[first])
+    if np.any(d <= 0):
+        raise ValueError("distances must be strictly positive")
+    return d, np.where(first, rank, rank[reverse])
 
 
 def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricFeatures:
-    """Distances, angles and basis embeddings for one molecule's graph.
+    """Index arrays for one molecule's graph, and what its bases need.
 
     The local layer's radial and spherical embeddings use ``local_cutoff``
     as envelope scale, the global layer uses the graph's own cutoff.  Purely
     geometric: depends on inter-atom distances and angles only, never on
-    absolute positions.  Lengths and both radial parts are computed once per
-    undirected pair.  Angles and the spherical basis are computed for the
-    two-hop triples only: every one-hop row is a two-hop row (the same
-    triple), so ``sbf_one`` is ``sbf_two[triples.one_hop_rows]``.
+    absolute positions.  This takes each undirected pair's length once and
+    enumerates the angle triples; :func:`evaluate_bases` turns them into
+    the basis matrices.  A pair at distance zero raises ``ValueError`` here,
+    where the molecule is known.
     """
     triples = enumerate_angle_triples(g)
     coords = m.coords
-    local_reverse = reverse_edges(g.local_edges, g.n_nodes)
-    d_local, local_pair = _pair_lengths(coords, g.local_edges, local_reverse)
+    d_local, local_pair = _pair_lengths(
+        coords, g.local_edges, reverse_edges(g.local_edges, g.n_nodes)
+    )
     d_global, global_pair = _pair_lengths(
         coords, g.global_edges, reverse_edges(g.global_edges, g.n_nodes)
     )
-    rbf_local = radial_basis(d_local, local_cutoff)[local_pair]
-    rbf_global = radial_basis(d_global, g.global_cutoff)[global_pair]
-    t = triples.two_hop
+    inputs = _BasisInputs(
+        coords=coords,
+        two_hop=triples.two_hop,
+        d_local=d_local,
+        local_pair=local_pair,
+        d_global=d_global,
+        global_pair=global_pair,
+        angle_pair=local_pair[triples.two_hop_edge],
+        one_hop_rows=triples.one_hop_rows,
+        local_cutoff=float(local_cutoff),
+        global_cutoff=g.global_cutoff,
+    )
+    return GeometricFeatures(m.n_atoms, g.local_edges, g.global_edges, triples, inputs)
+
+
+def evaluate_bases(features) -> None:
+    """Fill the basis matrices of every given :class:`GeometricFeatures`.
+
+    The molecules are evaluated together, one call of each basis over all
+    of them, and each molecule's matrices are contiguous row ranges of the
+    joint ones.  Every value depends on its own pair or triple alone, so
+    the bytes equal those of a call per molecule.  The radial basis and the
+    radial part of the spherical basis are taken once per undirected pair
+    and gathered onto the directed edges and the triples.  Angles and the
+    spherical basis are taken for the two-hop triples only: every one-hop
+    row is a two-hop row (the same triple), so ``sbf_one`` is
+    ``sbf_two[one_hop_rows]``.  All features must share their two cutoffs.
+    """
+    todo = [f for f in features if f._bases is None]
+    if not todo:
+        return
+    ins = [f._inputs for f in todo]
+    local_cutoff, global_cutoff = ins[0].local_cutoff, ins[0].global_cutoff
+    if any((i.local_cutoff, i.global_cutoff) != (local_cutoff, global_cutoff) for i in ins):
+        raise ValueError("features evaluated together must share their cutoffs")
+
+    def joined(name, shift_by=None):
+        # One array over all molecules; an index array is shifted past the
+        # rows of ``shift_by`` that the molecules before it hold.
+        parts = [getattr(i, name) for i in ins]
+        if shift_by is not None:
+            rows = np.array([len(getattr(i, shift_by)) for i in ins])
+            parts = [p + s for p, s in zip(parts, np.cumsum(rows) - rows)]
+        return np.concatenate(parts)
+
+    coords = joined("coords")
+    t = joined("two_hop", "coords")
+    d_local = joined("d_local")
+    rbf_local = radial_basis(d_local, local_cutoff)[joined("local_pair", "d_local")]
+    rbf_global = radial_basis(joined("d_global"), global_cutoff)[
+        joined("global_pair", "d_global")
+    ]
     sbf_two = spherical_basis(
         d_local,
         angle_between(coords[t[:, 1]], coords[t[:, 0]], coords[t[:, 2]]),
         local_cutoff,
-        edge=local_pair[triples.two_hop_edge],
+        edge=joined("angle_pair", "d_local"),
     )
-    sbf_one = sbf_two[triples.one_hop_rows]
+    sbf_one = sbf_two[joined("one_hop_rows", "one_hop_rows")]
 
-    return GeometricFeatures(
-        n_nodes=m.n_atoms,
-        local_src=g.local_edges[:, 0].copy(),
-        local_dst=g.local_edges[:, 1].copy(),
-        global_src=g.global_edges[:, 0].copy(),
-        global_dst=g.global_edges[:, 1].copy(),
-        rbf_local=rbf_local,
-        rbf_global=rbf_global,
-        sbf_two=sbf_two,
-        sbf_one=sbf_one,
-        two_hop_edge=triples.two_hop_edge,
-        two_hop_target=triples.two_hop_target,
-        one_hop_edge=triples.one_hop_edge,
-        one_hop_target=triples.one_hop_target,
-    )
+    el = eg = tt = 0
+    for f in todo:
+        i = f._inputs
+        nl, ng, nt = i.local_pair.size, i.global_pair.size, i.one_hop_rows.size
+        f._bases = (
+            rbf_local[el : el + nl],
+            rbf_global[eg : eg + ng],
+            sbf_two[tt : tt + nt],
+            sbf_one[tt : tt + nt],
+        )
+        f._inputs = None
+        el, eg, tt = el + nl, eg + ng, tt + nt

@@ -216,15 +216,30 @@ def cmd_featurize(args) -> int:
             fh.write(graphmod.dump_graph(g))
         _write_edge_csv(base + ".rbf_local.csv", feats.local_src, feats.local_dst, feats.rbf_local, "rbf")
         _write_edge_csv(base + ".rbf_global.csv", feats.global_src, feats.global_dst, feats.rbf_global, "rbf")
-        triples = graphmod.enumerate_angle_triples(g)
-        _write_triple_csv(base + ".sbf_two.csv", ["k", "j", "i"], triples.two_hop, feats.sbf_two)
-        _write_triple_csv(base + ".sbf_one.csv", ["jp", "i", "j"], triples.one_hop, feats.sbf_one)
+        two_hop, one_hop = _triple_nodes(feats)
+        _write_triple_csv(base + ".sbf_two.csv", ["k", "j", "i"], two_hop, feats.sbf_two)
+        _write_triple_csv(base + ".sbf_one.csv", ["jp", "i", "j"], one_hop, feats.sbf_one)
         print(
             f"{m.key or stem}: N={feats.n_nodes} El={feats.local_src.size} "
             f"Eg={feats.global_src.size} T2={feats.sbf_two.shape[0]} "
             f"T1={feats.sbf_one.shape[0]}"
         )
     return 0
+
+
+def _triple_nodes(feats):
+    """Atom rows of the angle triples, read off their local edge ids.
+
+    Two-hop (k, j, i) sits on edges (k -> j) and (j -> i), one-hop
+    (jp, i, j) on (jp -> i) and (j -> i): the rows of
+    ``graph.enumerate_angle_triples``, in its order.
+    """
+    src, dst = feats.local_src, feats.local_dst
+    e, t = feats.two_hop_edge, feats.two_hop_target
+    two_hop = np.stack([src[e], dst[e], dst[t]], axis=1)
+    e, t = feats.one_hop_edge, feats.one_hop_target
+    one_hop = np.stack([src[e], dst[e], src[t]], axis=1)
+    return two_hop, one_hop
 
 
 def _write_edge_csv(path, src, dst, mat, prefix):

@@ -144,26 +144,25 @@ def parse_molecule(text: str, key: str | None = None) -> Molecule:
         if not math.isfinite(targets[k]):
             raise ParseError(2, f"value for {k!r} must be finite, got {v!r}")
 
-    numbers = np.empty(n, dtype=np.int64)
-    coords = np.empty((n, 3), dtype=np.float64)
+    numbers, xyz = [], []
     for a in range(n):
         ln = 3 + a
         parts = lines[2 + a].split()
         if len(parts) != 4:
             raise ParseError(ln, f"expected 'symbol x y z', got {lines[2 + a]!r}")
         try:
-            numbers[a] = elements.atomic_number(parts[0])
+            numbers.append(elements.atomic_number(parts[0]))
         except ValueError as e:
             raise ParseError(ln, str(e)) from None
-        for c in range(3):
+        for tok in parts[1:]:
             try:
-                coords[a, c] = float(parts[1 + c])
+                xyz.append(float(tok))
             except ValueError:
-                raise ParseError(
-                    ln, f"coordinate is not a float: {parts[1 + c]!r}"
-                ) from None
-        if not np.all(np.isfinite(coords[a])):
-            raise ParseError(ln, "coordinates must be finite")
+                raise ParseError(ln, f"coordinate is not a float: {tok!r}") from None
+    coords = np.array(xyz, dtype=np.float64).reshape(n, 3)
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        raise ParseError(3 + int(np.argmin(finite)), "coordinates must be finite")
 
     bonds = None
     rest = lines[2 + n :]

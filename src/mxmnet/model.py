@@ -23,6 +23,7 @@ serialize that order verbatim.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -397,7 +398,11 @@ def output_head(h, params, prefix):
 
 
 def prepare_inputs(m: Molecule, cfg: ModelConfig):
-    """Graph plus geometric features for one molecule (cache-friendly)."""
+    """Graph plus geometric features for one molecule (cache-friendly).
+
+    The basis matrices are evaluated when first read, or beforehand for a
+    chunk of molecules by ``training.prepare_all``.
+    """
     g = build_multiplex(
         m,
         local_rule=cfg.local_rule,
@@ -459,15 +464,29 @@ def forward(
 
 def save_checkpoint(store: ParamStore, path):
     """Write parameters: versioned text header, then per-parameter records
-    of a name/shape line followed by raw little-endian float64 bytes."""
-    with open(path, "wb") as fh:
-        fh.write(f"{_CKPT_MAGIC} {_CKPT_VERSION}\n".encode())
-        fh.write(f"{len(store)}\n".encode())
-        for name, t in store.items():
-            dims = " ".join(str(d) for d in t.data.shape)
-            head = f"{name} {t.data.ndim}" + (f" {dims}" if dims else "") + "\n"
-            fh.write(head.encode())
-            fh.write(np.ascontiguousarray(t.data).astype("<f8").tobytes())
+    of a name/shape line followed by raw little-endian float64 bytes.
+
+    The bytes go to a temporary file beside ``path``, reach the disk, and
+    then replace ``path`` in one rename, so a save that fails or is
+    interrupted leaves the previous file as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(f"{_CKPT_MAGIC} {_CKPT_VERSION}\n".encode())
+            fh.write(f"{len(store)}\n".encode())
+            for name, t in store.items():
+                dims = " ".join(str(d) for d in t.data.shape)
+                head = f"{name} {t.data.ndim}" + (f" {dims}" if dims else "") + "\n"
+                fh.write(head.encode())
+                fh.write(np.ascontiguousarray(t.data).astype("<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> ParamStore:

@@ -30,6 +30,7 @@ from mxmnet.model import (
     forward,
     init_params,
     load_checkpoint,
+    prepare_inputs,
     save_checkpoint,
 )
 from mxmnet.training import TrainConfig
@@ -182,6 +183,24 @@ def test_featurize_reruns_byte_identical(tmp_path):
     assert cli.main(["featurize", "--config", cfg_a]) == 0
     assert cli.main(["featurize", "--config", cfg_b]) == 0
     assert _dir_digest(out_a) == _dir_digest(out_b)
+
+
+def test_featurize_triple_columns_are_the_enumerated_triples():
+    # The CSV node columns come from the features' edge ids; they must be
+    # the rows graph.enumerate_angle_triples lists, in its order.
+    rng = np.random.default_rng(61)
+    mols = fixtures.fixture_set() + [fixtures.random_molecule(rng) for _ in range(12)]
+    rows = 0
+    for rule in ("bonds", "cutoff"):
+        cfg = ModelConfig(local_rule=rule)
+        for m in mols:
+            g, feats = prepare_inputs(m, cfg)
+            t = enumerate_angle_triples(g)
+            two_hop, one_hop = cli._triple_nodes(feats)
+            assert np.array_equal(two_hop, t.two_hop), (rule, m.key)
+            assert np.array_equal(one_hop, t.one_hop), (rule, m.key)
+            rows += t.two_hop.shape[0]
+    assert rows > 1000
 
 
 def test_featurize_empty_manifest_fails(tmp_path, capsys):

@@ -68,6 +68,13 @@ def test_parse_reports_line_numbers():
     assert e.value.line == 3
 
 
+def test_parse_names_the_line_of_the_first_non_finite_coordinate():
+    for v in ("nan", "inf", "-inf"):
+        with pytest.raises(ParseError, match="coordinates must be finite") as e:
+            parse_molecule(f"3\nu0=1\nH 0 0 0\nH 1 {v} 0\nH 0 0 {v}\n")
+        assert e.value.line == 4
+
+
 def test_parse_rejects_non_finite_targets():
     for v in ("nan", "inf", "-inf", "NaN"):
         with pytest.raises(ParseError) as e:

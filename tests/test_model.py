@@ -1,6 +1,7 @@
 """Model wiring: parameter init, block behavior, invariances, checkpoints."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -453,6 +454,33 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     y_orig = forward(m, params, cfg).item()
     y_load = forward(m, loaded, cfg).item()
     assert y_orig == y_load
+
+
+def test_an_interrupted_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    old, new = init_params(cfg, seed=33), init_params(cfg, seed=34)
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(old, path)
+    blob = path.read_bytes()
+    calls = []
+    real = np.ascontiguousarray
+
+    def fail_midway(a):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(a)
+
+    monkeypatch.setattr(np, "ascontiguousarray", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(new, path)
+    monkeypatch.undo()
+    assert len(calls) == 3 < len(new)  # the save stopped between records
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["weights.ckpt"]  # no temporary file left
+    loaded = load_checkpoint(path)
+    for name, t in old.items():
+        assert loaded[name].data.tobytes() == t.data.tobytes()
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mxmnet import fixtures, training
-from mxmnet.data import Dataset, split_dataset
-from mxmnet.model import ModelConfig, ParamStore, init_params
+from mxmnet.data import Dataset, Molecule, split_dataset
+from mxmnet.model import ModelConfig, ParamStore, init_params, prepare_inputs
 from mxmnet.training import (
     AdamState,
     EmaWeights,
@@ -251,6 +251,41 @@ def test_prepare_all_preserves_order():
     for m, (g, feats) in zip(mols, prepared):
         assert g.n_nodes == m.n_atoms
         assert feats.n_nodes == m.n_atoms
+
+
+_BASES = ("rbf_local", "rbf_global", "sbf_two", "sbf_one")
+
+
+def test_prepare_all_bases_match_each_molecule_alone(monkeypatch):
+    # Chunked evaluation must give every molecule the bytes of a chunk of
+    # one, wherever the chunk boundaries fall.
+    rng = np.random.default_rng(71)
+    mols = fixtures.fixture_set() + [
+        Molecule([6], [[0.0, 0.0, 0.0]], key="atom"),
+        fixtures.dihydrogen(),  # no triples
+        Molecule([6, 8], [[0.0, 0.0, 0.0], [0.0, 0.0, 6.0]], key="far"),  # no edges
+    ]
+    # QM9-sized molecules, like the benchmark's, around one over the budget
+    sizes = rng.integers(9, 30, size=12)
+    mols += [fixtures.random_molecule(rng, int(n), key=f"qm9_{k}") for k, n in enumerate(sizes)]
+    mols.insert(len(mols) - 6, fixtures.random_molecule(rng, 250, key="big"))
+    default = training._CHUNK_PAIRS
+    for rule in ("bonds", "cutoff"):
+        for excludes in (False, True):
+            cfg = ModelConfig(local_rule=rule, global_excludes_local=excludes)
+            alone = {}
+            for m in mols:
+                _, f = prepare_inputs(m, cfg)
+                alone[m.key] = [(getattr(f, n).shape, getattr(f, n).tobytes()) for n in _BASES]
+            big = prepare_inputs(mols[-7], cfg)[1].global_src.size // 2
+            assert big > default
+            for budget in (1, 97, 1000, default, big + 10**6):
+                monkeypatch.setattr(training, "_CHUNK_PAIRS", budget)
+                for m, (_, f) in zip(mols, prepare_all(mols, cfg)):
+                    assert f._bases is not None, "prepare_all returned unfilled features"
+                    got = [(getattr(f, n).shape, getattr(f, n).tobytes()) for n in _BASES]
+                    assert got == alone[m.key], (rule, excludes, budget, m.key)
+                    assert all(getattr(f, n).flags.c_contiguous for n in _BASES)
 
 
 def _toy_dataset(n=6, fractions=(1.0, 0.0, 0.0), seed=0):
