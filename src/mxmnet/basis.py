@@ -20,12 +20,12 @@ once.
 :func:`featurize` takes what one molecule's bases need: its pair lengths
 and angle triples.  :func:`evaluate_bases` then evaluates the bases for a
 list of molecules at once, a few calls per basis rather than a few per
-molecule, and computes each value once.  The radial basis and the radial
-part of the spherical basis depend on the edge length only, and an edge and
-its reverse have the same length to the bit, so both are computed once per
-undirected pair and gathered onto the directed edges and the triples.  The
+molecule, and computes and stores each value once.  The radial basis and the
+radial part of the spherical basis depend on the edge length only, and an
+edge and its reverse have the same length to the bit, so both are kept once
+per undirected pair; the directed edges and the triples gather them.  The
 one-hop triples list the same angles as the two-hop triples, so the angles
-and the spherical basis are computed for the two-hop family and the one-hop
+and the spherical basis are kept for the two-hop family and the one-hop
 rows gather them through ``AngleTriples.one_hop_rows``.
 """
 
@@ -331,12 +331,18 @@ class GeometricFeatures:
 
     Edge index arrays mirror the graph's directed edge lists; the triple
     index arrays point into the local edge list (which row feeds which).
-    The four basis matrices are evaluated by :func:`evaluate_bases`, for
-    many molecules at once; features that no call has filled fill
-    themselves, alone, when a matrix is first read.
+    The bases are stored once per value: one radial row per undirected pair
+    of each layer and one spherical row per two-hop triple.  ``local_pair``
+    and ``global_pair`` give each directed edge's pair row and
+    ``one_hop_rows`` each one-hop triple's two-hop row, and the four basis
+    matrices gather through them on every read.  The rows are evaluated by
+    :func:`evaluate_bases`, for many molecules at once; features that no
+    call has filled fill themselves, alone, when a matrix is first read.
     """
 
-    def __init__(self, n_nodes, local_edges, global_edges, triples, inputs):
+    def __init__(
+        self, n_nodes, local_edges, global_edges, triples, local_pair, global_pair, inputs
+    ):
         self.n_nodes = n_nodes
         self.local_src = local_edges[:, 0].copy()
         self.local_dst = local_edges[:, 1].copy()
@@ -346,6 +352,9 @@ class GeometricFeatures:
         self.two_hop_target = triples.two_hop_target
         self.one_hop_edge = triples.one_hop_edge
         self.one_hop_target = triples.one_hop_target
+        self.one_hop_rows = triples.one_hop_rows
+        self.local_pair = local_pair
+        self.global_pair = global_pair
         # What the bases are evaluated from; None once they are.
         self._inputs = inputs
         self._bases = None
@@ -358,12 +367,12 @@ class GeometricFeatures:
     @property
     def rbf_local(self) -> np.ndarray:
         """(E_l, 16) radial rows of the local edges."""
-        return self._evaluated()[0]
+        return self._evaluated()[0][self.local_pair]
 
     @property
     def rbf_global(self) -> np.ndarray:
         """(E_g, 16) radial rows of the global edges."""
-        return self._evaluated()[1]
+        return self._evaluated()[1][self.global_pair]
 
     @property
     def sbf_two(self) -> np.ndarray:
@@ -373,7 +382,7 @@ class GeometricFeatures:
     @property
     def sbf_one(self) -> np.ndarray:
         """(T1, 42) spherical rows of the one-hop triples."""
-        return self._evaluated()[3]
+        return self._evaluated()[2][self.one_hop_rows]
 
 
 @dataclass
@@ -381,20 +390,10 @@ class _BasisInputs:
     coords: np.ndarray
     two_hop: np.ndarray  # (T2, 3) atom rows (k, j, i)
     d_local: np.ndarray  # one length per undirected local pair
-    local_pair: np.ndarray  # pair row of each local edge
     d_global: np.ndarray
-    global_pair: np.ndarray
     angle_pair: np.ndarray  # pair row of each two-hop triple's (k -> j)
-    one_hop_rows: np.ndarray
     local_cutoff: float
     global_cutoff: float
-
-
-def _edge_lengths(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    if edges.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    delta = coords[edges[:, 0]] - coords[edges[:, 1]]
-    return np.linalg.norm(delta, axis=1)
 
 
 def _pair_lengths(coords: np.ndarray, edges: np.ndarray, reverse: np.ndarray):
@@ -406,7 +405,8 @@ def _pair_lengths(coords: np.ndarray, edges: np.ndarray, reverse: np.ndarray):
     """
     first = np.arange(reverse.size) < reverse
     rank = np.cumsum(first) - 1
-    d = _edge_lengths(coords, edges[first])
+    pairs = edges[first]
+    d = np.linalg.norm(coords[pairs[:, 0]] - coords[pairs[:, 1]], axis=1)
     if np.any(d <= 0):
         raise ValueError("distances must be strictly positive")
     return d, np.where(first, rank, rank[reverse])
@@ -420,14 +420,12 @@ def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricF
     geometric: depends on inter-atom distances and angles only, never on
     absolute positions.  This takes each undirected pair's length once and
     enumerates the angle triples; :func:`evaluate_bases` turns them into
-    the basis matrices.  A pair at distance zero raises ``ValueError`` here,
+    the basis rows.  A pair at distance zero raises ``ValueError`` here,
     where the molecule is known.
     """
     triples = enumerate_angle_triples(g)
     coords = m.coords
-    d_local, local_pair = _pair_lengths(
-        coords, g.local_edges, reverse_edges(g.local_edges, g.n_nodes)
-    )
+    d_local, local_pair = _pair_lengths(coords, g.local_edges, triples.reverse)
     d_global, global_pair = _pair_lengths(
         coords, g.global_edges, reverse_edges(g.global_edges, g.n_nodes)
     )
@@ -435,29 +433,27 @@ def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricF
         coords=coords,
         two_hop=triples.two_hop,
         d_local=d_local,
-        local_pair=local_pair,
         d_global=d_global,
-        global_pair=global_pair,
         angle_pair=local_pair[triples.two_hop_edge],
-        one_hop_rows=triples.one_hop_rows,
         local_cutoff=float(local_cutoff),
         global_cutoff=g.global_cutoff,
     )
-    return GeometricFeatures(m.n_atoms, g.local_edges, g.global_edges, triples, inputs)
+    return GeometricFeatures(
+        m.n_atoms, g.local_edges, g.global_edges, triples, local_pair, global_pair, inputs
+    )
 
 
 def evaluate_bases(features) -> None:
-    """Fill the basis matrices of every given :class:`GeometricFeatures`.
+    """Fill the basis rows of every given :class:`GeometricFeatures`.
 
     The molecules are evaluated together, one call of each basis over all
-    of them, and each molecule's matrices are contiguous row ranges of the
+    of them, and each molecule's rows are contiguous row ranges of the
     joint ones.  Every value depends on its own pair or triple alone, so
     the bytes equal those of a call per molecule.  The radial basis and the
-    radial part of the spherical basis are taken once per undirected pair
-    and gathered onto the directed edges and the triples.  Angles and the
-    spherical basis are taken for the two-hop triples only: every one-hop
-    row is a two-hop row (the same triple), so ``sbf_one`` is
-    ``sbf_two[one_hop_rows]``.  All features must share their two cutoffs.
+    radial part of the spherical basis are taken once per undirected pair.
+    Angles and the spherical basis are taken for the two-hop triples only:
+    every one-hop row is a two-hop row (the same triple).  All features
+    must share their two cutoffs.
     """
     todo = [f for f in features if f._bases is None]
     if not todo:
@@ -479,27 +475,19 @@ def evaluate_bases(features) -> None:
     coords = joined("coords")
     t = joined("two_hop", "coords")
     d_local = joined("d_local")
-    rbf_local = radial_basis(d_local, local_cutoff)[joined("local_pair", "d_local")]
-    rbf_global = radial_basis(joined("d_global"), global_cutoff)[
-        joined("global_pair", "d_global")
-    ]
+    rbf_local = radial_basis(d_local, local_cutoff)
+    rbf_global = radial_basis(joined("d_global"), global_cutoff)
     sbf_two = spherical_basis(
         d_local,
         angle_between(coords[t[:, 1]], coords[t[:, 0]], coords[t[:, 2]]),
         local_cutoff,
         edge=joined("angle_pair", "d_local"),
     )
-    sbf_one = sbf_two[joined("one_hop_rows", "one_hop_rows")]
 
-    el = eg = tt = 0
+    pl = pg = tt = 0
     for f in todo:
         i = f._inputs
-        nl, ng, nt = i.local_pair.size, i.global_pair.size, i.one_hop_rows.size
-        f._bases = (
-            rbf_local[el : el + nl],
-            rbf_global[eg : eg + ng],
-            sbf_two[tt : tt + nt],
-            sbf_one[tt : tt + nt],
-        )
+        nl, ng, nt = i.d_local.size, i.d_global.size, i.two_hop.shape[0]
+        f._bases = (rbf_local[pl : pl + nl], rbf_global[pg : pg + ng], sbf_two[tt : tt + nt])
         f._inputs = None
-        el, eg, tt = el + nl, eg + ng, tt + nt
+        pl, pg, tt = pl + nl, pg + ng, tt + nt

@@ -707,7 +707,9 @@ def main(argv=None) -> int:
         ValueError,
         FloatingPointError,
     ) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -115,8 +115,8 @@ def parse_molecule(text: str, key: str | None = None) -> Molecule:
     """Parse one molecule from extended-xyz text.
 
     Raises :class:`ParseError` with the offending line number on any
-    malformed count, symbol, coordinate or bond, and on a non-finite
-    target value or coordinate.
+    malformed count, symbol, coordinate or bond, on a non-finite target
+    value or coordinate, and on a target given twice.
     """
     lines = text.splitlines()
     if not lines:
@@ -137,6 +137,8 @@ def parse_molecule(text: str, key: str | None = None) -> Molecule:
         k, sep, v = tok.partition("=")
         if not sep or not k:
             raise ParseError(2, f"expected key=value, got {tok!r}")
+        if k in targets:
+            raise ParseError(2, f"target {k!r} given twice")
         try:
             targets[k] = float(v)
         except ValueError:

@@ -219,6 +219,7 @@ class AngleTriples:
     one_hop_edge: np.ndarray  # edge id of (jp -> i)
     one_hop_target: np.ndarray  # edge id of (j -> i), ascending
     one_hop_rows: np.ndarray  # two-hop row of each one-hop row
+    reverse: np.ndarray  # row of each local edge's reverse (reverse_edges)
 
 
 def _edges_into(ptr: np.ndarray, nodes: np.ndarray):
@@ -253,7 +254,8 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
     keep = src[t2e] != dst[t2t]
     t2t, t2e = t2t[keep], t2e[keep]
     two_hop = np.stack([src[t2e], src[t2t], dst[t2t]], axis=1)
-    t1t = reverse_edges(edges, g.n_nodes)[t2t]
+    reverse = reverse_edges(edges, g.n_nodes)
+    t1t = reverse[t2t]
     order = np.argsort(t1t, kind="stable")
     return AngleTriples(
         two_hop=two_hop,
@@ -263,6 +265,7 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
         one_hop_edge=t2e[order],
         one_hop_target=t1t[order],
         one_hop_rows=order,
+        reverse=reverse,
     )
 
 

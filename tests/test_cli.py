@@ -280,6 +280,21 @@ def test_train_rejects_bad_target_before_writing(tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_missing_target_error_line_is_the_bare_message(tmp_path, capsys, command):
+    # A KeyError's str() is the repr of its message; the line must not be quoted.
+    cfg = _train_cfg_file(tmp_path, _overfit_manifest(tmp_path), tmp_path / "run", target="nope")
+    argv = [command, "--config", cfg]
+    if command == "eval":
+        ckpt = str(tmp_path / "one.ckpt")
+        save_checkpoint(init_params(ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)), ckpt)
+        argv += ["--checkpoint", ckpt, "--split", "train"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: molecule 'fit02.extxyz' has no target 'nope'\n"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_fails_cleanly(tmp_path, capsys):
     manifest = _overfit_manifest(tmp_path)

@@ -83,6 +83,14 @@ def test_parse_rejects_non_finite_targets():
         assert "gap" in str(e.value)
 
 
+def test_parse_rejects_a_target_given_twice():
+    for line in ("u0=1.0 u0=2.0", "u0=1.0 gap=3 u0=1.0"):
+        with pytest.raises(ParseError, match="^line 2: target 'u0' given twice$") as e:
+            parse_molecule(f"1\n{line}\nH 0 0 0\n")
+        assert e.value.line == 2
+    assert parse_molecule("1\nu0=1.0 U0=2.0\nH 0 0 0\n").targets == {"u0": 1.0, "U0": 2.0}
+
+
 def test_parse_rejects_short_files_and_bad_bonds():
     with pytest.raises(ParseError):
         parse_molecule("3\nu0=1\nH 0 0 0\nH 1 0 0\n")

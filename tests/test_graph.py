@@ -337,6 +337,7 @@ def _triples_by_edge_loop(g):
         "one_hop_edge": np.array(t1e, dtype=np.int64),
         "one_hop_target": np.array(t1t, dtype=np.int64),
         "one_hop_rows": np.array(t1r, dtype=np.int64),
+        "reverse": np.array([edge_id[(int(i), int(j))] for j, i in edges], dtype=np.int64),
     }
 
 

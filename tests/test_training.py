@@ -1,6 +1,7 @@
 """Optimizer arithmetic, schedule shape, loop behavior and metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,26 @@ def test_prepare_all_bases_match_each_molecule_alone(monkeypatch):
                     got = [(getattr(f, n).shape, getattr(f, n).tobytes()) for n in _BASES]
                     assert got == alone[m.key], (rule, excludes, budget, m.key)
                     assert all(getattr(f, n).flags.c_contiguous for n in _BASES)
+
+
+def test_prepare_all_stores_each_basis_value_once():
+    # One radial row per undirected pair and one spherical row per two-hop
+    # triple, the per-edge and one-hop matrices gathered on read: about
+    # 118 KiB per 18-atom molecule, against 207 KiB with every row stored
+    # once per directed edge and once per triple family.
+    rng = np.random.default_rng(0)
+    mols = [fixtures.random_molecule(rng, n_atoms=18) for _ in range(100)]
+    cfg = ModelConfig()
+    prepare_all(mols[:2], cfg)  # warm-up: the cached root and norm tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prepared = prepare_all(mols, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(prepared) == len(mols)
+    assert held / len(mols) <= 150 * 1024, f"{held / len(mols) / 1024:.1f} KiB per molecule"
 
 
 def _toy_dataset(n=6, fractions=(1.0, 0.0, 0.0), seed=0):
