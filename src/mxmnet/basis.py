@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .data import Molecule
-from .graph import MultiplexGraph, enumerate_angle_triples, reverse_edges
+from .graph import MultiplexGraph, enumerate_angle_triples
 
 __all__ = [
     "N_RBF",
@@ -425,10 +425,8 @@ def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricF
     """
     triples = enumerate_angle_triples(g)
     coords = m.coords
-    d_local, local_pair = _pair_lengths(coords, g.local_edges, triples.reverse)
-    d_global, global_pair = _pair_lengths(
-        coords, g.global_edges, reverse_edges(g.global_edges, g.n_nodes)
-    )
+    d_local, local_pair = _pair_lengths(coords, g.local_edges, g.local_reverse)
+    d_global, global_pair = _pair_lengths(coords, g.global_edges, g.global_reverse)
     inputs = _BasisInputs(
         coords=coords,
         two_hop=triples.two_hop,

@@ -286,9 +286,9 @@ def split_dataset(ds: Dataset, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> Da
         base_order = list(range(n))
     rng = np.random.default_rng(seed)
     perm = [base_order[i] for i in rng.permutation(n)]
-    n_train = int(n * f[0])
-    n_val = int(n * f[1])
-    n_test = int(n * f[2])
+    # n * f may land an ulp below the whole count it stands for (100 * 0.29
+    # is 28.999999999999996): that count is taken whole, others floored.
+    n_train, n_val, n_test = (math.floor(n * x + 1e-9) for x in f)
     split = Split(
         train=perm[:n_train],
         val=perm[n_train : n_train + n_val],

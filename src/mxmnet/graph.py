@@ -9,7 +9,7 @@ contributes both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "neighbor_search",
     "build_multiplex",
     "enumerate_angle_triples",
-    "reverse_edges",
     "count_angles",
     "count_messages",
     "dump_graph",
@@ -38,41 +37,55 @@ BOND_SLACK = 0.3
 _BLOCK_ROWS = 512
 
 
-def _close_pairs(pts: np.ndarray, close) -> np.ndarray:
-    """Directed pairs (j, i) picked by ``close``, sorted by (i, j).
+def _close_pairs(pts: np.ndarray, *rules) -> list[np.ndarray]:
+    """Directed pairs (j, i) picked by each rule, one list per rule, sorted by (i, j).
 
-    Scans exact squared distances ``_BLOCK_ROWS`` rows at a time: for rows
-    lo.. of a block, ``close(lo, d2)`` gets their (rows, n) squared
-    distances to every point and returns a mask of the pairs to keep.
-    Blocks ascend and ``np.nonzero`` lists each row's columns in order, so
-    the pairs come out sorted.
+    Scans exact squared distances ``_BLOCK_ROWS`` rows at a time, once for
+    all rules: for rows lo.. of a block, ``rule(lo, d2)`` gets their
+    (rows, n) squared distances to every point and returns a mask of the
+    pairs to keep.  Blocks ascend and ``np.nonzero`` lists each row's
+    columns in order, so the pairs come out sorted.  Two points at the
+    same position raise ``ValueError``.
     """
-    parts = [np.empty((0, 2), dtype=np.int64)]  # so no points give (0, 2)
+    parts = [[np.empty((0, 2), dtype=np.int64)] for _ in rules]  # so no points give (0, 2)
     for lo in range(0, pts.shape[0], _BLOCK_ROWS):
         diff = pts[lo : lo + _BLOCK_ROWS, None, :] - pts[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        del diff  # before ``close`` makes its own block-sized arrays
-        i, j = np.nonzero(close(lo, d2))
-        parts.append(np.stack([j, i + lo], axis=1))
-    return np.concatenate(parts)
+        del diff  # before the rules make their own block-sized arrays
+        same = d2 == 0.0
+        if np.count_nonzero(same) > same.shape[0]:  # more zeros than the diagonal
+            # The block's rows are atoms lo.., so its diagonal starts at column lo.
+            np.fill_diagonal(same[:, lo:], False)
+            i, j = np.argwhere(same)[0]
+            raise ValueError(f"atoms {i + lo} and {j} are at the same position")
+        for rule, part in zip(rules, parts):
+            i, j = np.nonzero(rule(lo, d2))
+            part.append(np.stack([j, i + lo], axis=1))
+    return [np.concatenate(part) for part in parts]
+
+
+def _within(cutoff: float):
+    """Pair rule of :func:`_close_pairs`: 0 < |r_j - r_i| < cutoff."""
+    cutoff = float(cutoff)
+    if not 0 < cutoff < np.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
+    c2 = cutoff * cutoff
+    return lambda lo, d2: (d2 > 0.0) & (d2 < c2)
 
 
 def neighbor_search(coords, cutoff: float) -> np.ndarray:
     """Directed pairs (j, i) with 0 < |r_j - r_i| < cutoff, both directions.
 
     An exact scan of every pair, sorted by (i, j).  The squared distances
-    are exactly symmetric, so the pair set is too.
+    are exactly symmetric, so the pair set is too.  Two points at the same
+    position raise ``ValueError``.
     """
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"coordinates must be (n, 3), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("coordinates must be finite")
-    cutoff = float(cutoff)
-    if not 0 < cutoff < np.inf:
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-    c2 = cutoff * cutoff
-    return _close_pairs(pts, lambda lo, d2: (d2 > 0.0) & (d2 < c2))
+    return _close_pairs(pts, _within(cutoff))[0]
 
 
 # Covalent radius by atomic number; row 0 is unused.
@@ -81,10 +94,11 @@ _RADII = np.array(
 )
 
 
-def _covalent_bonds(m: Molecule) -> np.ndarray:
-    """Directed edges of the covalent-radius rule, sorted by (i, j).
+def _covalent_rule(m: Molecule):
+    """Pair rule of :func:`_close_pairs` for the covalent-radius bonds of ``m``.
 
-    Atoms i != j bond when |r_i - r_j| < r_cov(i) + r_cov(j) + BOND_SLACK.
+    Atoms i != j bond when |r_i - r_j| < r_cov(i) + r_cov(j) + BOND_SLACK;
+    ``d2 > 0`` drops the diagonal, as the scan rejects any other zero.
     """
     z = m.atomic_numbers
     if z.max() > elements.MAX_Z:
@@ -92,14 +106,9 @@ def _covalent_bonds(m: Molecule) -> np.ndarray:
         # ValueError that names the element.
         elements.covalent_radius(int(z.max()))
     radii = _RADII[z]
-
-    def close(lo, d2):
-        mask = np.sqrt(d2) < radii[lo : lo + d2.shape[0], None] + radii[None, :] + BOND_SLACK
-        # The block's rows are atoms lo.., so its diagonal starts at column lo.
-        np.fill_diagonal(mask[:, lo:], False)
-        return mask
-
-    return _close_pairs(m.coords, close)
+    return lambda lo, d2: (d2 > 0.0) & (
+        np.sqrt(d2) < radii[lo : lo + d2.shape[0], None] + radii[None, :] + BOND_SLACK
+    )
 
 
 @dataclass
@@ -108,6 +117,8 @@ class MultiplexGraph:
 
     ``local_rule`` records how the local layer was built ("bonds" or
     "cutoff:<value>"); ``global_cutoff`` is the global layer's radius.
+    Construction checks both layers and raises ``ValueError`` for an invalid
+    one; ``<layer>_reverse`` holds the row of each edge's reverse.
     """
 
     n_nodes: int
@@ -115,24 +126,29 @@ class MultiplexGraph:
     global_edges: np.ndarray  # (E_g, 2) rows (j, i)
     local_rule: str
     global_cutoff: float
+    local_reverse: np.ndarray = field(init=False)
+    global_reverse: np.ndarray = field(init=False)
 
-    def validate(self):
-        for name in ("local_edges", "global_edges"):
+    def __post_init__(self):
+        for layer in ("local", "global"):
+            name = f"{layer}_edges"
             e = getattr(self, name)
             if e.ndim != 2 or e.shape[1] != 2:
                 raise ValueError(f"{name} must be (e, 2), got {e.shape}")
-            if e.size:
-                if e.min() < 0 or e.max() >= self.n_nodes:
-                    raise ValueError(f"{name} references nodes outside range")
-                if np.any(e[:, 0] == e[:, 1]):
-                    raise ValueError(f"{name} contains a self-edge")
-                key = _edge_keys(e, self.n_nodes)
-                if np.any(np.diff(key) <= 0):
-                    raise ValueError(f"{name} is not sorted by (i, j) or repeats an edge")
-                reverse = np.sort(_edge_keys(e[:, ::-1], self.n_nodes))
-                if not np.array_equal(reverse, key):
-                    raise ValueError(f"{name} is not symmetric as a directed set")
-        return self
+            if e.size and (e.min() < 0 or e.max() >= self.n_nodes):
+                raise ValueError(f"{name} references nodes outside range")
+            if (e[:, 0] == e[:, 1]).any():
+                raise ValueError(f"{name} contains a self-edge")
+            key = _edge_keys(e, self.n_nodes)
+            if (key[1:] <= key[:-1]).any():
+                raise ValueError(f"{name} is not sorted by (i, j) or repeats an edge")
+            # The keys are unique and sorted: the layer is symmetric exactly
+            # when each edge's flipped key is found, at its reverse's row.
+            flipped = _edge_keys(e[:, ::-1], self.n_nodes)
+            reverse = np.searchsorted(key, flipped)
+            if (key.take(reverse, mode="clip") != flipped).any():
+                raise ValueError(f"{name} is not symmetric as a directed set")
+            setattr(self, f"{layer}_reverse", reverse)
 
 
 def build_multiplex(
@@ -151,14 +167,7 @@ def build_multiplex(
     union of layers the plain cutoff graph instead of a multiplex over it.
     """
     if local_rule == "bonds":
-        if m.bonds is None:
-            local = _covalent_bonds(m)
-        elif m.bonds:
-            a = np.asarray(m.bonds, dtype=np.int64)
-            local = np.concatenate([a, a[:, ::-1]])
-            local = local[np.argsort(_edge_keys(local, m.n_atoms))]
-        else:
-            local = np.empty((0, 2), dtype=np.int64)
+        local_rules = [_covalent_rule(m)] if m.bonds is None else []
         rule = "bonds"
     elif local_rule == "cutoff":
         if not 0 < local_cutoff < global_cutoff:
@@ -166,36 +175,32 @@ def build_multiplex(
                 f"need 0 < local cutoff < global cutoff, got "
                 f"{local_cutoff} and {global_cutoff}"
             )
-        local = neighbor_search(m.coords, local_cutoff)
+        local_rules = [_within(local_cutoff)]
         rule = f"cutoff:{local_cutoff:g}"
     else:
         raise ValueError(f"unknown local rule {local_rule!r}")
-    glob = neighbor_search(m.coords, global_cutoff)
+    n = m.n_atoms
+    glob, *local = _close_pairs(m.coords, _within(global_cutoff), *local_rules)
+    if local:
+        local = local[0]
+    else:  # explicit bonds
+        a = np.asarray(m.bonds, dtype=np.int64).reshape(-1, 2)
+        local = np.concatenate([a, a[:, ::-1]])
+        local = local[np.argsort(_edge_keys(local, n))]
     if global_excludes_local:
-        n = m.n_atoms
         glob = glob[~np.isin(_edge_keys(glob, n), _edge_keys(local, n))]
-    g = MultiplexGraph(
-        n_nodes=m.n_atoms,
+    return MultiplexGraph(
+        n_nodes=n,
         local_edges=local,
         global_edges=glob,
         local_rule=rule,
         global_cutoff=float(global_cutoff),
     )
-    return g.validate()
 
 
 def _edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """One integer per directed edge, ascending exactly when rows ascend in (i, j)."""
     return edges[:, 1] * n_nodes + edges[:, 0]
-
-
-def reverse_edges(edges: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Row of each directed edge's reverse, in a valid layer's edge list.
-
-    The list must be sorted by (i, j) and symmetric, as
-    :meth:`MultiplexGraph.validate` checks.
-    """
-    return np.searchsorted(_edge_keys(edges, n_nodes), _edge_keys(edges[:, ::-1], n_nodes))
 
 
 @dataclass
@@ -219,7 +224,6 @@ class AngleTriples:
     one_hop_edge: np.ndarray  # edge id of (jp -> i)
     one_hop_target: np.ndarray  # edge id of (j -> i), ascending
     one_hop_rows: np.ndarray  # two-hop row of each one-hop row
-    reverse: np.ndarray  # row of each local edge's reverse (reverse_edges)
 
 
 def _edges_into(ptr: np.ndarray, nodes: np.ndarray):
@@ -241,7 +245,7 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
 
     Two-hop triples are emitted in local edge order with neighbors
     ascending.  Relies on the edges being sorted by (i, j), as
-    :meth:`MultiplexGraph.validate` checks: the edges into node v are then
+    :class:`MultiplexGraph` checks: the edges into node v are then
     rows ptr[v]:ptr[v + 1], sources ascending.  The one-hop family is the
     two-hop family stably sorted by the reverse of each row's target edge:
     targets in edge order, and for each the edges (jp -> i), jp ascending.
@@ -254,8 +258,7 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
     keep = src[t2e] != dst[t2t]
     t2t, t2e = t2t[keep], t2e[keep]
     two_hop = np.stack([src[t2e], src[t2t], dst[t2t]], axis=1)
-    reverse = reverse_edges(edges, g.n_nodes)
-    t1t = reverse[t2t]
+    t1t = g.local_reverse[t2t]
     order = np.argsort(t1t, kind="stable")
     return AngleTriples(
         two_hop=two_hop,
@@ -265,7 +268,6 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
         one_hop_edge=t2e[order],
         one_hop_target=t1t[order],
         one_hop_rows=order,
-        reverse=reverse,
     )
 
 

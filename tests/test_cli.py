@@ -470,7 +470,24 @@ def test_featurization_error_names_the_molecule(tmp_path, capsys, command):
         argv = [command, "--config", cfg, "--checkpoint", ckpt]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: molecule 'dup.extxyz': distances must be strictly positive\n"
+    assert err == "error: molecule 'dup.extxyz': atoms 0 and 1 are at the same position\n"
+
+
+@pytest.mark.parametrize("rule", ["cutoff", "explicit"])
+def test_train_rejects_coincident_atoms_outside_both_layers(tmp_path, capsys, rule):
+    # Under the cutoff rule, or explicit bonds that skip the pair, a
+    # zero-distance pair is in neither layer; it must still fail loudly.
+    # The covalent rule's case is test_featurization_error_names_the_molecule.
+    mols = fixtures.overfit_set(8, seed=7)
+    bonds = [(0, 2), (1, 2)] if rule == "explicit" else None
+    coords = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    mols[3] = Molecule([6, 6, 1], coords, bonds=bonds, targets={"u0": 0.5}, key="same")
+    manifest = fixtures.write_molecule_dir(mols, tmp_path / "mols")
+    extra = {"local_rule": "cutoff"} if rule == "cutoff" else {}
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", **extra)
+    assert cli.main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: molecule 'same.extxyz': atoms 0 and 1 are at the same position\n"
 
 
 def test_eval_rejects_a_bad_target_before_featurizing(tmp_path, capsys):

@@ -170,6 +170,27 @@ def test_split_sizes_8_1_1():
     assert all_idx == list(range(10))
 
 
+@pytest.mark.parametrize(
+    "n, fractions, sizes",
+    [
+        # n * f lands just below a whole count: 100 * 0.29 == 28.999999999999996
+        (100, (0.29, 0.71, 0.0), (29, 71, 0)),
+        (100, (0.58, 0.14, 0.28), (58, 14, 28)),
+        # exact products keep their counts, fractional ones still floor
+        (40, (0.8, 0.1, 0.1), (32, 4, 4)),
+        (40, (0.2, 0.0, 0.8), (8, 0, 32)),
+        (20, (0.8, 0.1, 0.1), (16, 2, 2)),
+        (10, (0.2, 0.0, 0.8), (2, 0, 8)),
+        (4, (0.5, 0.25, 0.25), (2, 1, 1)),
+        (10, (0.75, 0.25, 0.0), (7, 2, 0)),
+    ],
+)
+def test_split_sizes_take_whole_products(n, fractions, sizes):
+    ds = Dataset([Molecule([1], [[0.0, 0.0, 0.0]], key=f"m{k:03d}") for k in range(n)])
+    split = split_dataset(ds, fractions, seed=3).split
+    assert (len(split.train), len(split.val), len(split.test)) == sizes
+
+
 def test_split_is_deterministic():
     ds = Dataset(_keyed_set(24))
     a = split_dataset(ds, seed=5).split

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mxmnet import elements, fixtures
+from mxmnet import graph as graphmod
 from mxmnet.basis import featurize
 from mxmnet.data import Molecule
 from mxmnet.graph import (
@@ -143,7 +144,6 @@ def test_bond_rule_peak_memory_stays_bounded():
 
 def test_build_multiplex_water():
     g = build_multiplex(fixtures.water(), global_cutoff=5.0)
-    g.validate()
     assert g.n_nodes == 3
     assert g.local_edges.shape == (4, 2)
     assert g.global_edges.shape == (6, 2)
@@ -159,7 +159,6 @@ def test_build_multiplex_single_atom():
 def test_build_multiplex_cutoff_rule_and_validation():
     m = fixtures.methane()
     g = build_multiplex(m, local_rule="cutoff", local_cutoff=1.5, global_cutoff=4.0)
-    g.validate()
     assert g.local_edges.shape[0] == 8  # four C-H pairs, both directions
     with pytest.raises(ValueError):
         build_multiplex(m, local_rule="cutoff", local_cutoff=5.0, global_cutoff=4.0)
@@ -170,7 +169,6 @@ def test_build_multiplex_cutoff_rule_and_validation():
 def test_build_multiplex_exclusion_flag():
     m = fixtures.methane()
     g = build_multiplex(m, global_cutoff=4.0, global_excludes_local=True)
-    g.validate()
     local = {tuple(e) for e in g.local_edges}
     glob = {tuple(e) for e in g.global_edges}
     assert not local & glob
@@ -183,42 +181,122 @@ def test_edges_stay_symmetric_on_random_molecules():
     for trial in range(20):
         m = fixtures.random_molecule(rng)
         g = build_multiplex(m, global_cutoff=5.0)
-        g.validate()
         for edges in (g.local_edges, g.global_edges):
             have = {tuple(e) for e in edges}
             assert all((i, j) in have for j, i in have)
             assert all(j != i for j, i in have)
 
 
+def _graph(n, local, glob=()):
+    return MultiplexGraph(
+        n_nodes=n,
+        local_edges=np.array(local, dtype=np.int64).reshape(-1, 2),
+        global_edges=np.array(glob, dtype=np.int64).reshape(-1, 2),
+        local_rule="bonds",
+        global_cutoff=5.0,
+    )
+
+
 def test_validate_catches_broken_graphs():
-    asym = MultiplexGraph(
-        n_nodes=3,
-        local_edges=np.array([[0, 1]], dtype=np.int64),
-        global_edges=np.empty((0, 2), dtype=np.int64),
-        local_rule="bonds",
-        global_cutoff=5.0,
-    )
-    with pytest.raises(ValueError):
-        asym.validate()
-    selfloop = MultiplexGraph(
-        n_nodes=2,
-        local_edges=np.empty((0, 2), dtype=np.int64),
-        global_edges=np.array([[1, 1], [1, 1]], dtype=np.int64),
-        local_rule="bonds",
-        global_cutoff=5.0,
-    )
-    with pytest.raises(ValueError):
-        selfloop.validate()
+    # a graph checks itself on construction
+    with pytest.raises(ValueError, match="local_edges is not symmetric as a directed set"):
+        _graph(3, [[0, 1]])
+    # flipped keys that fall between present keys
+    with pytest.raises(ValueError, match="global_edges is not symmetric"):
+        _graph(3, [], [[1, 0], [2, 1]])
+    # flipped keys past the largest key
+    with pytest.raises(ValueError, match="local_edges is not symmetric"):
+        _graph(3, [[2, 0], [2, 1]])
+    with pytest.raises(ValueError, match="global_edges contains a self-edge"):
+        _graph(2, [], [[1, 1], [1, 1]])
     # symmetric and duplicate-free, but not in (i, j) order
-    unsorted = MultiplexGraph(
-        n_nodes=3,
-        local_edges=np.array([[1, 0], [2, 0], [0, 2], [0, 1]], dtype=np.int64),
-        global_edges=np.empty((0, 2), dtype=np.int64),
-        local_rule="bonds",
-        global_cutoff=5.0,
+    with pytest.raises(ValueError, match="local_edges is not sorted by"):
+        _graph(3, [[1, 0], [2, 0], [0, 2], [0, 1]])
+    with pytest.raises(ValueError, match="repeats an edge"):
+        _graph(2, [[1, 0], [1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="local_edges references nodes outside range"):
+        _graph(2, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match=r"global_edges must be \(e, 2\), got \(4,\)"):
+        MultiplexGraph(2, np.empty((0, 2), np.int64), np.zeros(4, np.int64), "bonds", 5.0)
+
+
+def _reverse_by_edge_loop(edges):
+    """Reference: row of each edge's reverse through an edge-id dict."""
+    edge_id = {(int(j), int(i)): e for e, (j, i) in enumerate(edges)}
+    return np.array([edge_id[(int(i), int(j))] for j, i in edges], dtype=np.int64)
+
+
+def _check_reverse_maps(g):
+    for layer in ("local", "global"):
+        got = getattr(g, f"{layer}_reverse")
+        want = _reverse_by_edge_loop(getattr(g, f"{layer}_edges"))
+        assert got.dtype == want.dtype and np.array_equal(got, want), layer
+
+
+def test_reverse_maps_match_edge_loop():
+    rng = np.random.default_rng(41)
+    mols = fixtures.fixture_set() + [fixtures.random_molecule(rng) for _ in range(15)]
+    for m in mols:
+        for rule in ("bonds", "cutoff"):
+            for exclude in (False, True):
+                _check_reverse_maps(
+                    build_multiplex(m, local_rule=rule, global_excludes_local=exclude)
+                )
+    for n, pairs in [(3, [(0, 1), (1, 2)]), (2, [(0, 1)]), (4, [(0, 1), (0, 2), (0, 3)])]:
+        _check_reverse_maps(_graph_from_undirected(n, pairs))
+    for trial in range(10):
+        _check_reverse_maps(_graph_from_undirected(*fixtures.random_simple_graph(rng)))
+
+
+@pytest.mark.parametrize("rule", ["bonds", "cutoff", "explicit"])
+def test_build_multiplex_scans_the_pairs_once(monkeypatch, rule):
+    m = fixtures.methane()  # carries explicit bonds
+    if rule != "explicit":
+        m = Molecule(m.atomic_numbers, m.coords)
+    calls, scan = [], graphmod._close_pairs
+    monkeypatch.setattr(graphmod, "_close_pairs", lambda *a: calls.append(a) or scan(*a))
+    g = build_multiplex(
+        m, local_rule="bonds" if rule == "explicit" else rule, local_cutoff=1.5
     )
-    with pytest.raises(ValueError):
-        unsorted.validate()
+    assert len(calls) == 1
+    assert g.local_edges.shape == (8, 2)  # four C-H pairs under every rule
+
+
+def test_global_layer_is_the_cutoff_scan():
+    rng = np.random.default_rng(42)
+    mols = fixtures.fixture_set() + [fixtures.random_molecule(rng) for _ in range(10)]
+    mols += [Molecule(m.atomic_numbers, m.coords) for m in mols if m.bonds is not None]
+    for m in mols:
+        want = neighbor_search(m.coords, 4.5)
+        for rule in ("bonds", "cutoff"):
+            for exclude in (False, True):
+                g = build_multiplex(
+                    m, local_rule=rule, global_cutoff=4.5, global_excludes_local=exclude
+                )
+                local = {tuple(e) for e in g.local_edges.tolist()}
+                keep = [not (exclude and tuple(e) in local) for e in want.tolist()]
+                assert np.array_equal(g.global_edges, want[keep].reshape(-1, 2))
+
+
+@pytest.mark.parametrize("rule", ["bonds", "cutoff", "explicit"])
+def test_coincident_atoms_raise_under_every_rule(rule):
+    coords = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    # the explicit bonds skip the coincident pair (0, 2)
+    bonds = [(0, 1), (1, 2)] if rule == "explicit" else None
+    m = Molecule([6, 1, 6], coords, bonds=bonds)
+    with pytest.raises(ValueError, match="atoms 0 and 2 are at the same position"):
+        build_multiplex(m, local_rule="bonds" if rule == "explicit" else rule)
+
+
+def test_pair_scan_names_coincident_points_in_any_block():
+    # 600 points take two row blocks of 512; the first coincident pair in
+    # (i, j) order is named, wherever it sits
+    pts = fixtures.random_points(600, 14.0, np.random.default_rng(43))
+    for a, b in [(0, 2), (10, 560), (550, 580)]:
+        dup = pts.copy()
+        dup[b] = dup[a]
+        with pytest.raises(ValueError, match=f"atoms {a} and {b} are at the same position"):
+            neighbor_search(dup, 2.0)
 
 
 def _graph_from_undirected(n, pairs):
@@ -337,7 +415,6 @@ def _triples_by_edge_loop(g):
         "one_hop_edge": np.array(t1e, dtype=np.int64),
         "one_hop_target": np.array(t1t, dtype=np.int64),
         "one_hop_rows": np.array(t1r, dtype=np.int64),
-        "reverse": np.array([edge_id[(int(i), int(j))] for j, i in edges], dtype=np.int64),
     }
 
 
