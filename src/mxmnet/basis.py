@@ -329,8 +329,9 @@ def angle_between(origin, a, b) -> np.ndarray:
 class GeometricFeatures:
     """Per-molecule geometry tensors the model consumes.
 
-    Edge index arrays mirror the graph's directed edge lists; the triple
-    index arrays point into the local edge list (which row feeds which).
+    The edge index arrays are column views of the graph's directed edge
+    lists, not copies; the triple index arrays point into the local edge
+    list (which row feeds which).
     The bases are stored once per value: one radial row per undirected pair
     of each layer and one spherical row per two-hop triple.  ``local_pair``
     and ``global_pair`` give each directed edge's pair row and
@@ -340,14 +341,10 @@ class GeometricFeatures:
     call has filled fill themselves, alone, when a matrix is first read.
     """
 
-    def __init__(
-        self, n_nodes, local_edges, global_edges, triples, local_pair, global_pair, inputs
-    ):
-        self.n_nodes = n_nodes
-        self.local_src = local_edges[:, 0].copy()
-        self.local_dst = local_edges[:, 1].copy()
-        self.global_src = global_edges[:, 0].copy()
-        self.global_dst = global_edges[:, 1].copy()
+    def __init__(self, g, triples, local_pair, global_pair, inputs):
+        self.n_nodes = g.n_nodes
+        self.local_src, self.local_dst = g.local_edges.T
+        self.global_src, self.global_dst = g.global_edges.T
         self.two_hop_edge = triples.two_hop_edge
         self.two_hop_target = triples.two_hop_target
         self.one_hop_edge = triples.one_hop_edge
@@ -412,11 +409,13 @@ def _pair_lengths(coords: np.ndarray, edges: np.ndarray, reverse: np.ndarray):
     return d, np.where(first, rank, rank[reverse])
 
 
-def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricFeatures:
+def featurize(
+    m: Molecule, g: MultiplexGraph, local_cutoff: float, global_cutoff: float
+) -> GeometricFeatures:
     """Index arrays for one molecule's graph, and what its bases need.
 
     The local layer's radial and spherical embeddings use ``local_cutoff``
-    as envelope scale, the global layer uses the graph's own cutoff.  Purely
+    as envelope scale, the global layer ``global_cutoff``.  Purely
     geometric: depends on inter-atom distances and angles only, never on
     absolute positions.  This takes each undirected pair's length once and
     enumerates the angle triples; :func:`evaluate_bases` turns them into
@@ -434,11 +433,9 @@ def featurize(m: Molecule, g: MultiplexGraph, local_cutoff: float) -> GeometricF
         d_global=d_global,
         angle_pair=local_pair[triples.two_hop_edge],
         local_cutoff=float(local_cutoff),
-        global_cutoff=g.global_cutoff,
+        global_cutoff=float(global_cutoff),
     )
-    return GeometricFeatures(
-        m.n_atoms, g.local_edges, g.global_edges, triples, local_pair, global_pair, inputs
-    )
+    return GeometricFeatures(g, triples, local_pair, global_pair, inputs)
 
 
 def evaluate_bases(features) -> None:

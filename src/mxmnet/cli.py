@@ -549,8 +549,12 @@ def run_bench(n: int = 512, seed: int = 0, repeats: int = 2):
     message count, seconds.  The local scheme counts angle triples, the
     global scheme the two passes over global edges, and the reference
     scheme two-hop triples enumerated over the global layer, the cost an
-    angle-aware scheme would pay without the two-layer split.
+    angle-aware scheme would pay without the two-layer split.  Each
+    scheme's slope is fitted over the cutoffs that gave messages; a scheme
+    left with fewer than two raises ``ValueError``, as does ``n`` below 2.
     """
+    if n < 2:
+        raise ValueError(f"bench needs at least 2 points (--n), got {n}")
     side = 16.0
     local_cutoffs = (1.5, 1.8, 2.1, 2.4, 2.7)
     global_cutoffs = (2.5, 3.0, 3.5, 4.0, 4.5)
@@ -566,20 +570,14 @@ def run_bench(n: int = 512, seed: int = 0, repeats: int = 2):
         for c in local_cutoffs:
             t0 = time.perf_counter()
             edges = graphmod.neighbor_search(pts, c)
-            g = graphmod.MultiplexGraph(
-                n_nodes=n,
-                local_edges=edges,
-                global_edges=np.empty((0, 2), dtype=np.int64),
-                local_rule=f"cutoff:{c:g}",
-                global_cutoff=side,
-            )
+            g = graphmod.MultiplexGraph(n, edges, np.empty((0, 2), dtype=np.int64))
             triples = graphmod.enumerate_angle_triples(g)
             dt = time.perf_counter() - t0
             msgs = int(triples.two_hop.shape[0] + triples.one_hop.shape[0])
             k_mean = edges.shape[0] / n
             rows.append(("local", n, c, k_mean, msgs, dt))
             if msgs:
-                series["local"].append((k_mean, msgs))
+                series["local"].append((c, k_mean, msgs))
         for c in global_cutoffs:
             t0 = time.perf_counter()
             edges = graphmod.neighbor_search(pts, c)
@@ -588,16 +586,23 @@ def run_bench(n: int = 512, seed: int = 0, repeats: int = 2):
             k_mean = edges.shape[0] / n
             msgs = 2 * edges.shape[0]
             rows.append(("global", n, c, k_mean, msgs, dt))
-            series["global"].append((k_mean, msgs))
+            if msgs:
+                series["global"].append((c, k_mean, msgs))
             ref = int((deg * (deg - 1)).sum())
             rows.append(("reference", n, c, k_mean, ref, dt))
             if ref:
-                series["reference"].append((k_mean, ref))
+                series["reference"].append((c, k_mean, ref))
     slopes = {}
-    for scheme, pairs in series.items():
-        k = np.log([p[0] for p in pairs])
-        v = np.log([p[1] for p in pairs])
-        slopes[scheme] = float(np.polyfit(k, v, 1)[0])
+    for scheme, points in series.items():
+        k = [p[1] for p in points]
+        if len(set(k)) < 2:
+            raise ValueError(
+                f"bench: the {scheme} scheme has {len(points)} fit points (cutoffs "
+                f"with messages: {sorted({p[0] for p in points})}) at {len(set(k))} "
+                f"distinct mean degrees; a slope needs 2, so raise --n"
+            )
+        v = [p[2] for p in points]
+        slopes[scheme] = float(np.polyfit(np.log(k), np.log(v), 1)[0])
     return rows, slopes
 
 

@@ -42,11 +42,14 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed molecule text; carries the 1-based line number."""
+    """Malformed molecule or atom-reference text; carries the 1-based line
+    number, and reads ``<path>:<line>: <message>`` when given the file."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, path=None):
+        where = f"line {line}" if path is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
+        self.message = message
 
 
 class Molecule:
@@ -206,8 +209,13 @@ def serialize_molecule(m: Molecule) -> str:
 
 
 def load_molecule(path, key: str | None = None) -> Molecule:
+    """Read one molecule file; a :class:`ParseError` names the file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_molecule(fh.read(), key=key if key is not None else str(path))
+        text = fh.read()
+    try:
+        return parse_molecule(text, key=key if key is not None else str(path))
+    except ParseError as e:
+        raise ParseError(e.line, e.message, path) from None
 
 
 def save_molecule(m: Molecule, path):
@@ -323,7 +331,8 @@ def target_stats(
 
 def load_atomrefs(path) -> dict[int, float]:
     """Read per-element reference energies: lines of ``<symbol> <value>``;
-    an element given twice is an error naming both lines."""
+    an element given twice is an error naming both lines.  A
+    :class:`ParseError` names the file."""
     refs: dict[int, float] = {}
     lines = {}  # the line each element was given on
     with open(path, encoding="utf-8") as fh:
@@ -333,17 +342,17 @@ def load_atomrefs(path) -> dict[int, float]:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise ParseError(num, f"expected 'symbol value', got {line!r}")
+                raise ParseError(num, f"expected 'symbol value', got {line!r}", path)
             try:
                 z = elements.atomic_number(parts[0])
                 value = float(parts[1])
             except ValueError as e:
-                raise ParseError(num, str(e)) from None
+                raise ParseError(num, str(e), path) from None
             if not math.isfinite(value):
-                raise ParseError(num, f"non-finite reference energy {parts[1]!r}")
+                raise ParseError(num, f"non-finite reference energy {parts[1]!r}", path)
             if z in lines:
                 raise ParseError(
-                    num, f"element {parts[0]!r} given twice, lines {lines[z]} and {num}"
+                    num, f"element {parts[0]!r} given twice, lines {lines[z]} and {num}", path
                 )
             lines[z] = num
             refs[z] = value

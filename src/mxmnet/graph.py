@@ -115,8 +115,6 @@ def _covalent_rule(m: Molecule):
 class MultiplexGraph:
     """Shared node set with a local and a global directed edge layer.
 
-    ``local_rule`` records how the local layer was built ("bonds" or
-    "cutoff:<value>"); ``global_cutoff`` is the global layer's radius.
     Construction checks both layers and raises ``ValueError`` for an invalid
     one; ``<layer>_reverse`` holds the row of each edge's reverse.
     """
@@ -124,8 +122,6 @@ class MultiplexGraph:
     n_nodes: int
     local_edges: np.ndarray  # (E_l, 2) rows (j, i)
     global_edges: np.ndarray  # (E_g, 2) rows (j, i)
-    local_rule: str
-    global_cutoff: float
     local_reverse: np.ndarray = field(init=False)
     global_reverse: np.ndarray = field(init=False)
 
@@ -168,7 +164,6 @@ def build_multiplex(
     """
     if local_rule == "bonds":
         local_rules = [_covalent_rule(m)] if m.bonds is None else []
-        rule = "bonds"
     elif local_rule == "cutoff":
         if not 0 < local_cutoff < global_cutoff:
             raise ValueError(
@@ -176,7 +171,6 @@ def build_multiplex(
                 f"{local_cutoff} and {global_cutoff}"
             )
         local_rules = [_within(local_cutoff)]
-        rule = f"cutoff:{local_cutoff:g}"
     else:
         raise ValueError(f"unknown local rule {local_rule!r}")
     n = m.n_atoms
@@ -189,13 +183,7 @@ def build_multiplex(
         local = local[np.argsort(_edge_keys(local, n))]
     if global_excludes_local:
         glob = glob[~np.isin(_edge_keys(glob, n), _edge_keys(local, n))]
-    return MultiplexGraph(
-        n_nodes=n,
-        local_edges=local,
-        global_edges=glob,
-        local_rule=rule,
-        global_cutoff=float(global_cutoff),
-    )
+    return MultiplexGraph(n, local, glob)
 
 
 def _edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -213,17 +201,22 @@ class AngleTriples:
     the angle sits at i between rays i->jp and i->j.
 
     Both list the same triples: one-hop row (jp -> i, j -> i) is two-hop
-    row (jp -> i, i -> j), so ``one_hop == two_hop[one_hop_rows]``.
+    row (jp -> i, i -> j), so ``one_hop`` is ``two_hop[one_hop_rows]``,
+    gathered on each read.
     """
 
     two_hop: np.ndarray  # (t2, 3)
-    one_hop: np.ndarray  # (t1, 3)
     # Row e of each *_edge array points into the directed local edge list.
     two_hop_edge: np.ndarray  # edge id of (k -> j)
     two_hop_target: np.ndarray  # edge id of (j -> i)
     one_hop_edge: np.ndarray  # edge id of (jp -> i)
     one_hop_target: np.ndarray  # edge id of (j -> i), ascending
     one_hop_rows: np.ndarray  # two-hop row of each one-hop row
+
+    @property
+    def one_hop(self) -> np.ndarray:
+        """(t1, 3) rows (jp, i, j)."""
+        return self.two_hop[self.one_hop_rows]
 
 
 def _edges_into(ptr: np.ndarray, nodes: np.ndarray):
@@ -262,7 +255,6 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
     order = np.argsort(t1t, kind="stable")
     return AngleTriples(
         two_hop=two_hop,
-        one_hop=two_hop[order],
         two_hop_edge=t2e,
         two_hop_target=t2t,
         one_hop_edge=t2e[order],

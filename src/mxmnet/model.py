@@ -410,7 +410,7 @@ def prepare_inputs(m: Molecule, cfg: ModelConfig):
         global_cutoff=cfg.global_cutoff,
         global_excludes_local=cfg.global_excludes_local,
     )
-    feats = featurize(m, g, cfg.local_cutoff)
+    feats = featurize(m, g, cfg.local_cutoff, cfg.global_cutoff)
     return g, feats
 
 

@@ -460,6 +460,12 @@ def test_shape_mismatches_raise():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 2))), rows=(0, 2))
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 2))), rows=(3, 6))
+    with pytest.raises(ShapeError, match=r"^matmul needs 2-d operands, got \(3,\) and \(3, 2\)$"):
+        matmul(Tensor(np.ones(3)), b)
+    with pytest.raises(ShapeError, match=r"^gather needs a 2-d tensor, got shape \(3,\)$"):
+        gather(Tensor(np.ones(3)), [0])
+    with pytest.raises(ShapeError, match=r"^item\(\) needs a scalar, got shape \(2, 3\)$"):
+        a.item()
 
 
 def test_gradient_accumulates_across_tapes():

@@ -9,6 +9,7 @@ from scipy import special
 
 from mxmnet import fixtures
 from mxmnet.basis import (
+    evaluate_bases,
     N_RBF,
     N_SHBF,
     N_SRBF,
@@ -302,22 +303,38 @@ def test_featurize_is_rigid_motion_invariant():
     rng = np.random.default_rng(45)
     m = fixtures.methane()
     g = build_multiplex(m, global_cutoff=5.0)
-    base = featurize(m, g, 2.0)
+    base = featurize(m, g, 2.0, 5.0)
     for trial in range(5):
         rot = fixtures.random_rotation(rng)
         shift = rng.standard_normal(3) * 7.0
         moved = fixtures.rigid_transform(m, rot, shift)
-        f2 = featurize(moved, build_multiplex(moved, global_cutoff=5.0), 2.0)
+        f2 = featurize(moved, build_multiplex(moved, global_cutoff=5.0), 2.0, 5.0)
         assert np.max(np.abs(f2.rbf_local - base.rbf_local)) < 1e-9
         assert np.max(np.abs(f2.rbf_global - base.rbf_global)) < 1e-9
         assert np.max(np.abs(f2.sbf_two - base.sbf_two)) < 1e-9
         assert np.max(np.abs(f2.sbf_one - base.sbf_one)) < 1e-9
 
 
+def test_spherical_jl_rejects_negative_degrees_and_arguments():
+    with pytest.raises(ValueError, match="^degree must be non-negative, got -1$"):
+        spherical_jl(-1, 1.0)
+    with pytest.raises(ValueError, match="^argument must be non-negative$"):
+        spherical_jl(2, [1.0, -0.5])
+
+
+def test_evaluate_bases_rejects_mixed_cutoffs():
+    m = fixtures.water()
+    g = build_multiplex(m, global_cutoff=5.0)
+    for local, glob in ((1.5, 5.0), (2.0, 4.0)):
+        pair = [featurize(m, g, 2.0, 5.0), featurize(m, g, local, glob)]
+        with pytest.raises(ValueError, match="^features evaluated together must share their cutoffs$"):
+            evaluate_bases(pair)
+
+
 def test_featurize_single_atom_is_empty():
     m = Molecule([6], [[0.0, 0.0, 0.0]])
     g = build_multiplex(m, global_cutoff=5.0)
-    f = featurize(m, g, 2.0)
+    f = featurize(m, g, 2.0, 5.0)
     assert f.rbf_local.shape == (0, N_RBF)
     assert f.rbf_global.shape == (0, N_RBF)
     assert f.sbf_two.shape == (0, N_SHBF * N_SRBF)

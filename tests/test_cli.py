@@ -280,6 +280,33 @@ def test_train_rejects_bad_target_before_writing(tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "command, drop, extra, message",
+    [
+        ("train", "", {"order": "sideways"},
+         "order must be global_first or local_first, got 'sideways'"),
+        ("train", "target", {}, "a target name is required (config key 'target')"),
+        ("train", "manifest", {}, "a manifest path is required (config key 'manifest')"),
+        ("eval", "", {}, "split 'test' is empty"),
+    ],
+)
+def test_config_errors_fail_with_one_line(tmp_path, capsys, command, drop, extra, message):
+    cfg = _train_cfg_file(tmp_path, _overfit_manifest(tmp_path), tmp_path / "run", **extra)
+    if drop:
+        path = tmp_path / "train.cfg"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{ln}\n" for ln in lines if not ln.startswith(f"{drop} =")))
+    argv = [command, "--config", cfg]
+    if command == "eval":  # the default split, test, has test_frac 0
+        ckpt = str(tmp_path / "one.ckpt")
+        save_checkpoint(init_params(ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)), ckpt)
+        argv += ["--checkpoint", ckpt]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_missing_target_error_line_is_the_bare_message(tmp_path, capsys, command):
     # A KeyError's str() is the repr of its message; the line must not be quoted.
@@ -473,6 +500,47 @@ def test_featurization_error_names_the_molecule(tmp_path, capsys, command):
     assert err == "error: molecule 'dup.extxyz': atoms 0 and 1 are at the same position\n"
 
 
+@pytest.mark.parametrize("command", ["train", "featurize", "atomrefs"])
+def test_parse_errors_name_their_file(tmp_path, capsys, command):
+    manifest = _overfit_manifest(tmp_path)
+    base = os.path.dirname(os.path.abspath(manifest))
+    extra = {}
+    if command == "train":
+        bad = os.path.join(base, "fit03.extxyz")
+        with open(bad, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[2] = "C 0.0 zz 0.0"
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        want = f"{bad}:3: coordinate is not a float: 'zz'"
+    elif command == "featurize":
+        bad = os.path.join(base, "fit05.extxyz")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write("3\nu0=0.5\nC 0 0 0\nH 1 0 0\n")
+        want = f"{bad}:5: body ends before the declared 3 atom lines"
+    else:
+        bad = tmp_path / "refs.txt"
+        bad.write_text("H -0.5\nC\n")
+        extra["atomrefs"] = bad
+        want = f"{bad}:2: expected 'symbol value', got 'C'"
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", **extra)
+    argv = ["featurize" if command == "featurize" else "train", "--config", cfg]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("n", [-3, 0, 8, 16, 24])
+def test_bench_with_too_few_points_fails_with_one_line(tmp_path, capfd, n):
+    assert cli.main(["bench", "--n", str(n), "--out", str(tmp_path / "bench")]) == 2
+    err = capfd.readouterr().err  # capfd: LAPACK writes to the descriptor
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if n < 2:
+        assert err == f"error: bench needs at least 2 points (--n), got {n}\n"
+    else:
+        assert re.match(r"error: bench: the \w+ scheme has \d+ fit points \(cutoffs", err)
+    assert not (tmp_path / "bench" / "bench.csv").exists()
+
+
 @pytest.mark.parametrize("rule", ["cutoff", "explicit"])
 def test_train_rejects_coincident_atoms_outside_both_layers(tmp_path, capsys, rule):
     # Under the cutoff rule, or explicit bonds that skip the pair, a
@@ -582,6 +650,8 @@ def test_eval_rejects_a_non_finite_checkpoint(tmp_path, capsys):
         (b"MXMCKPT 1\nmany\n", "the record count is not an integer: 'many'"),
         (b"MXMCKPT 1\n-3\n", "negative record count -3"),
         (b"MXMCKPT one\n0\n", "the version is not an integer: 'one'"),
+        (b"MXMCKPT 2\n0\n", "unsupported checkpoint version 2"),
+        (b"MXMCKPT 1\n2\nw 0\n" + bytes(8), "truncated checkpoint"),
         (b"MXMCKPT 1\n1\nembed/table two 3 4\n", "dimension count of 'embed/table'"),
         # Each record is checked before anything is read or allocated.
         (b"MXMCKPT 1\n1\nw 1 100000000000\n", "the data of 'w' needs 800000000000 bytes, 0 are left"),
@@ -637,6 +707,22 @@ def test_verify_catches_tampered_fixture(tmp_path, capsys):
     assert any(ln.startswith("FAIL rigid-invariance") for ln in out.splitlines())
 
 
+def test_verify_reports_a_check_that_raises_as_failed(tmp_path, capsys, monkeypatch):
+    # The other checks pass at once; the rigid check gets a directory
+    # without pairs, raises, and must print FAIL rather than end the run.
+    for name in ("gradients", "permutation", "angle_count", "message_count",
+                 "bessel_roots", "cutoff"):
+        monkeypatch.setattr(cli, f"_check_{name}", lambda seed: (0.0, 1.0))
+    monkeypatch.setattr(cli, "_check_checkpoint", lambda seed, out: (0.0, 0.0))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["verify", "--out", str(tmp_path / "out"), "--fixtures", str(empty)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"FAIL rigid-invariance error=no *.rot.extxyz pairs in {empty}" in out
+    assert sum(ln.startswith("PASS") for ln in out) == 7
+    assert out[-1] == "1 of 8 checks failed"
+
+
 def test_bench_writes_csv_and_slopes(tmp_path, capsys):
     out = tmp_path / "bench"
     assert cli.main(["bench", "--n", "128", "--out", str(out)]) == 0
@@ -657,13 +743,7 @@ def test_bench_counts_match_graph_oracles():
     for scheme, n, cutoff, k_mean, msgs, dt in rows:
         edges = neighbor_search(pts, cutoff)
         if scheme == "local":
-            g = MultiplexGraph(
-                n_nodes=96,
-                local_edges=edges,
-                global_edges=np.empty((0, 2), dtype=np.int64),
-                local_rule=f"cutoff:{cutoff:g}",
-                global_cutoff=16.0,
-            )
+            g = MultiplexGraph(96, edges, np.empty((0, 2), dtype=np.int64))
             t = enumerate_angle_triples(g)
             assert msgs == t.two_hop.shape[0] + t.one_hop.shape[0]
         elif scheme == "global":

@@ -1,13 +1,16 @@
 """Molecule file round-trips, dataset splitting and target statistics."""
 
+import re
+
 import numpy as np
 import pytest
 
-from mxmnet import fixtures
+from mxmnet import elements, fixtures
 from mxmnet.data import (
     Dataset,
     Molecule,
     ParseError,
+    Split,
     load_atomrefs,
     load_manifest,
     load_molecule,
@@ -91,6 +94,24 @@ def test_parse_rejects_a_target_given_twice():
     assert parse_molecule("1\nu0=1.0 U0=2.0\nH 0 0 0\n").targets == {"u0": 1.0, "U0": 2.0}
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("", 1, "empty input"),
+        ("0\nu0=1\n", 1, "atom count must be positive, got 0"),
+        ("1\nu0\nH 0 0 0\n", 2, "expected key=value, got 'u0'"),
+        ("1\nu0=1\nH 0 0\n", 3, "expected 'symbol x y z', got 'H 0 0'"),
+        ("1\nu0=1\nH 0 0 0\n\nextra\n", 5, "unexpected trailing content 'extra'"),
+        ("2\nu0=1\nH 0 0 0\nH 1 0 0\nBONDS\n0 1 2\n", 6, "expected 'i j', got '0 1 2'"),
+        ("2\nu0=1\nH 0 0 0\nH 1 0 0\nBONDS\n0 x\n", 6, "bond indices must be integers: '0 x'"),
+    ],
+)
+def test_parse_rejects_malformed_text(text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$") as e:
+        parse_molecule(text)
+    assert e.value.line == line
+
+
 def test_parse_rejects_short_files_and_bad_bonds():
     with pytest.raises(ParseError):
         parse_molecule("3\nu0=1\nH 0 0 0\nH 1 0 0\n")
@@ -108,6 +129,19 @@ def test_molecule_validation():
         Molecule([1, 1], [[0, 0, 0], [1, 0, 0]], bonds=[(0, 0)])
     with pytest.raises(ValueError):
         Molecule([1, 1], [[0, 0, 0], [1, 0, 0]], bonds=[(0, 3)])
+    with pytest.raises(ValueError, match="^atomic numbers must be positive$"):
+        Molecule([1, 0], [[0, 0, 0], [1, 0, 0]])
+    with pytest.raises(ValueError, match=r"^coordinates shape \(1, 3\) does not match 2 atoms$"):
+        Molecule([1, 1], [[0, 0, 0]])
+    with pytest.raises(ValueError, match=r"^duplicate bond \(0, 1\)$"):
+        Molecule([1, 1], [[0, 0, 0], [1, 0, 0]], bonds=[(0, 1), (1, 0)])
+
+
+def test_symbol_rejects_atomic_numbers_out_of_range():
+    assert elements.symbol(elements.MAX_Z) == "Xe"
+    for z in (0, elements.MAX_Z + 1):
+        with pytest.raises(ValueError, match=f"^atomic number {z} outside supported range 1..54$"):
+            elements.symbol(z)
 
 
 def test_molecule_equality_ignores_key():
@@ -266,6 +300,14 @@ def test_target_stats_missing_target_fails():
         target_stats(ds, "u0")
 
 
+def test_target_stats_needs_a_split_with_training_molecules():
+    mols = _keyed_set(3)
+    with pytest.raises(ValueError, match="^dataset has no split; call split_dataset first$"):
+        target_stats(Dataset(mols), "u0")
+    with pytest.raises(ValueError, match="^training split is empty$"):
+        target_stats(Dataset(mols, Split(train=[], val=[0], test=[1, 2])), "u0")
+
+
 def test_target_stats_of_atom_referenced_targets():
     mols = _keyed_set(20, seed=4)
     refs = {z: -0.25 * z for z in range(1, 55)}
@@ -288,6 +330,12 @@ def test_atomref_subtraction():
     refs = {1: -0.5, 8: -75.0}
     want = w.targets["u0"] - (2 * -0.5 + -75.0)
     assert abs(subtract_atomrefs(w, "u0", refs) - want) < 1e-12
+
+
+def test_atomref_subtraction_rejects_a_non_finite_target():
+    # -1e308 twice overflows to -inf, so the referenced target is +inf.
+    with pytest.raises(ValueError, match="^non-finite target for 'h2'$"):
+        subtract_atomrefs(fixtures.dihydrogen(), "u0", {1: -1e308})
 
 
 def test_atomref_missing_element_is_named():

@@ -1,5 +1,6 @@
 """Two-layer graph construction, angle triples and message counting."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,8 @@ def test_neighbor_search_rejects_bad_input():
             neighbor_search(np.zeros((2, 3)), cutoff)
     with pytest.raises(ValueError, match="positive and finite"):
         build_multiplex(fixtures.water(), global_cutoff=np.nan)
+    with pytest.raises(ValueError, match=r"^coordinates must be \(n, 3\), got \(3, 2\)$"):
+        neighbor_search(np.zeros((3, 2)), 2.0)
 
 
 def _local_bonds(m):
@@ -164,6 +167,8 @@ def test_build_multiplex_cutoff_rule_and_validation():
         build_multiplex(m, local_rule="cutoff", local_cutoff=5.0, global_cutoff=4.0)
     with pytest.raises(ValueError):
         build_multiplex(m, global_cutoff=-1.0)
+    with pytest.raises(ValueError, match="^unknown local rule 'nope'$"):
+        build_multiplex(m, local_rule="nope")
 
 
 def test_build_multiplex_exclusion_flag():
@@ -192,9 +197,12 @@ def _graph(n, local, glob=()):
         n_nodes=n,
         local_edges=np.array(local, dtype=np.int64).reshape(-1, 2),
         global_edges=np.array(glob, dtype=np.int64).reshape(-1, 2),
-        local_rule="bonds",
-        global_cutoff=5.0,
     )
+
+
+def test_graph_holds_the_topology_alone():
+    names = [f.name for f in dataclasses.fields(MultiplexGraph)]
+    assert names == ["n_nodes", "local_edges", "global_edges", "local_reverse", "global_reverse"]
 
 
 def test_validate_catches_broken_graphs():
@@ -217,7 +225,7 @@ def test_validate_catches_broken_graphs():
     with pytest.raises(ValueError, match="local_edges references nodes outside range"):
         _graph(2, [[2, 0], [0, 2]])
     with pytest.raises(ValueError, match=r"global_edges must be \(e, 2\), got \(4,\)"):
-        MultiplexGraph(2, np.empty((0, 2), np.int64), np.zeros(4, np.int64), "bonds", 5.0)
+        MultiplexGraph(2, np.empty((0, 2), np.int64), np.zeros(4, np.int64))
 
 
 def _reverse_by_edge_loop(edges):
@@ -308,8 +316,6 @@ def _graph_from_undirected(n, pairs):
         n_nodes=n,
         local_edges=edges.reshape(-1, 2),
         global_edges=np.empty((0, 2), dtype=np.int64),
-        local_rule="bonds",
-        global_cutoff=1.0,
     )
 
 
@@ -435,6 +441,8 @@ def test_count_angles_small_cases():
     k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     assert count_angles(4, k4) == 12
     assert count_angles(5, []) == 0
+    with pytest.raises(ValueError, match="^self-edge on node 2$"):
+        count_angles(3, [(0, 1), (2, 2)])
 
 
 def _angle_pairs_by_enumeration(n, pairs):
@@ -464,8 +472,6 @@ def test_count_messages_empty_graph():
         n_nodes=5,
         local_edges=np.empty((0, 2), dtype=np.int64),
         global_edges=np.empty((0, 2), dtype=np.int64),
-        local_rule="bonds",
-        global_cutoff=5.0,
     )
     c = count_messages(g)
     assert c.as_tuple() == (0, 0, 0, 0, 10)
@@ -497,7 +503,7 @@ def test_count_messages_tracks_triples():
         assert c.local_step3 == e_l
         assert c.cross_layer == 2 * g.n_nodes
         # The features list the same triples, one row each.
-        assert count_messages(g, featurize(m, g, 2.0)) == c
+        assert count_messages(g, featurize(m, g, 2.0, 4.0)) == c
 
 
 def test_dump_graph_format():

@@ -15,6 +15,7 @@ from mxmnet.model import (
     MessageTally,
     ModelConfig,
     ParamStore,
+    check_params,
     cross_layer_map,
     forward,
     global_mp,
@@ -67,6 +68,29 @@ def test_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=key):
                 ModelConfig(**{key: value})
+    for dl in (5.0, 6.0):  # the bonds rule ignores dl, the cutoff rule needs dl < dg
+        ModelConfig(local_cutoff=dl, global_cutoff=5.0)
+        with pytest.raises(ValueError, match="^local cutoff must be below the global cutoff$"):
+            ModelConfig(local_rule="cutoff", local_cutoff=dl, global_cutoff=5.0)
+
+
+def test_check_params_names_a_shape_mismatch():
+    cfg = tiny_cfg()
+    layout = [(name, t.data.shape) for name, t in init_params(cfg).items()]
+    check_params(ParamStore(layout), cfg)
+    name, _ = layout[1]
+    layout[1] = (name, (3, 3))
+    with pytest.raises(
+        ValueError, match=rf"^parameter '{name}' has shape \(3, 3\), the model config expects"
+    ):
+        check_params(ParamStore(layout), cfg)
+
+
+def test_forward_rejects_atomic_numbers_outside_the_embedding():
+    # Explicit bonds: the covalent rule would reject element 55 first.
+    m = Molecule([55, 1], [[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]], bonds=[(0, 1)])
+    with pytest.raises(ValueError, match="^atomic number 55 outside the embedding range$"):
+        forward(m, init_params(tiny_cfg()), tiny_cfg())
 
 
 def test_init_is_deterministic():

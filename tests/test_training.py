@@ -181,6 +181,8 @@ def test_lr_schedule_shape():
     # decay is evaluated continuously, not in stairsteps
     mid = lr_at(spe + 300 * spe, spe, base)
     assert abs(mid - base * 0.1**0.5) < 1e-15
+    with pytest.raises(ValueError, match="^steps_per_epoch must be at least 1$"):
+        lr_at(0, 0, base)
 
 
 def test_ema_initialization_and_update():
@@ -252,6 +254,29 @@ def test_prepare_all_preserves_order():
     for m, (g, feats) in zip(mols, prepared):
         assert g.n_nodes == m.n_atoms
         assert feats.n_nodes == m.n_atoms
+
+
+def test_prepare_all_features_view_the_graph_edges():
+    # Each molecule holds its edges once: the features' edge arrays are
+    # the graph's columns, not copies of them.
+    rng = np.random.default_rng(29)
+    mols = fixtures.fixture_set() + [
+        fixtures.random_molecule(rng, int(n), key=f"r{k}")
+        for k, n in enumerate(rng.integers(2, 25, size=8))
+    ]
+    for rule in ("bonds", "cutoff"):
+        for excludes in (False, True):
+            cfg = ModelConfig(local_rule=rule, global_excludes_local=excludes)
+            for m, (g, f) in zip(mols, prepare_all(mols, cfg)):
+                for edges, src, dst in (
+                    (g.local_edges, f.local_src, f.local_dst),
+                    (g.global_edges, f.global_src, f.global_dst),
+                ):
+                    for col, arr in enumerate((src, dst)):
+                        # an empty layer has no memory to share
+                        assert np.shares_memory(arr, edges) or not arr.size, (rule, m.key)
+                        assert np.array_equal(arr, edges[:, col])
+                        assert arr.dtype == np.int64
 
 
 _BASES = ("rbf_local", "rbf_global", "sbf_two", "sbf_one")
