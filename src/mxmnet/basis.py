@@ -17,22 +17,22 @@ argument is below the degree) and all 7 angular degrees of a triple in one
 Legendre recurrence.  The Bessel recurrence takes each sine and cosine
 once.
 
-:func:`featurize` takes what one molecule's bases need: its pair lengths
-and angle triples.  :func:`evaluate_bases` then evaluates the bases for a
-list of molecules at once, a few calls per basis rather than a few per
-molecule, and computes and stores each value once.  The radial basis and the
-radial part of the spherical basis depend on the edge length only, and an
-edge and its reverse have the same length to the bit, so both are kept once
-per undirected pair; the directed edges and the triples gather them.  The
-one-hop triples list the same angles as the two-hop triples, so the angles
-and the spherical basis are kept for the two-hop family and the one-hop
-rows gather them through ``AngleTriples.one_hop_rows``.
+:func:`featurize` takes what one molecule's bases need and stores no basis
+value: one length per undirected pair of each layer and one angle per
+two-hop triple.  The features evaluate the basis matrices from them on
+every read, and ``model.forward`` reads each once per call.  The radial
+basis and the radial part of the spherical basis depend on the edge length
+only, and an edge and its reverse have the same length to the bit, so both
+are evaluated once per undirected pair and gathered onto the directed
+edges and the triples.  The one-hop triples list the same angles as the
+two-hop triples, so the spherical basis is evaluated for the two-hop
+family and the one-hop rows gather it through
+``AngleTriples.one_hop_rows``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "angle_between",
     "GeometricFeatures",
     "featurize",
-    "evaluate_bases",
 ]
 
 N_RBF = 16  # radial components per edge
@@ -327,21 +326,21 @@ def angle_between(origin, a, b) -> np.ndarray:
 
 
 class GeometricFeatures:
-    """Per-molecule geometry tensors the model consumes.
+    """Per-molecule geometry the model consumes.
 
     The edge index arrays are column views of the graph's directed edge
     lists, not copies; the triple index arrays point into the local edge
     list (which row feeds which).
-    The bases are stored once per value: one radial row per undirected pair
-    of each layer and one spherical row per two-hop triple.  ``local_pair``
-    and ``global_pair`` give each directed edge's pair row and
-    ``one_hop_rows`` each one-hop triple's two-hop row, and the four basis
-    matrices gather through them on every read.  The rows are evaluated by
-    :func:`evaluate_bases`, for many molecules at once; features that no
-    call has filled fill themselves, alone, when a matrix is first read.
+    No basis value is stored.  The features hold one length per undirected
+    pair of each layer, one angle per two-hop triple and the two cutoffs,
+    and the four basis matrices are evaluated from them on every read.
+    ``local_pair`` and ``global_pair`` give each directed edge's pair row
+    and ``one_hop_rows`` each one-hop triple's two-hop row: the radial rows
+    are taken once per pair and the spherical rows once per two-hop
+    triple, then gathered.
     """
 
-    def __init__(self, g, triples, local_pair, global_pair, inputs):
+    def __init__(self, g, triples, local_pair, global_pair, d_local, d_global, angles, cutoffs):
         self.n_nodes = g.n_nodes
         self.local_src, self.local_dst = g.local_edges.T
         self.global_src, self.global_dst = g.global_edges.T
@@ -352,45 +351,31 @@ class GeometricFeatures:
         self.one_hop_rows = triples.one_hop_rows
         self.local_pair = local_pair
         self.global_pair = global_pair
-        # What the bases are evaluated from; None once they are.
-        self._inputs = inputs
-        self._bases = None
-
-    def _evaluated(self):
-        if self._bases is None:
-            evaluate_bases([self])
-        return self._bases
+        self.d_local = d_local
+        self.d_global = d_global
+        self.angles = angles
+        self.local_cutoff, self.global_cutoff = map(float, cutoffs)
 
     @property
     def rbf_local(self) -> np.ndarray:
         """(E_l, 16) radial rows of the local edges."""
-        return self._evaluated()[0][self.local_pair]
+        return radial_basis(self.d_local, self.local_cutoff)[self.local_pair]
 
     @property
     def rbf_global(self) -> np.ndarray:
         """(E_g, 16) radial rows of the global edges."""
-        return self._evaluated()[1][self.global_pair]
+        return radial_basis(self.d_global, self.global_cutoff)[self.global_pair]
 
     @property
     def sbf_two(self) -> np.ndarray:
         """(T2, 42) spherical rows of the two-hop triples."""
-        return self._evaluated()[2]
+        edge = self.local_pair[self.two_hop_edge]
+        return spherical_basis(self.d_local, self.angles, self.local_cutoff, edge=edge)
 
     @property
     def sbf_one(self) -> np.ndarray:
         """(T1, 42) spherical rows of the one-hop triples."""
-        return self._evaluated()[2][self.one_hop_rows]
-
-
-@dataclass
-class _BasisInputs:
-    coords: np.ndarray
-    two_hop: np.ndarray  # (T2, 3) atom rows (k, j, i)
-    d_local: np.ndarray  # one length per undirected local pair
-    d_global: np.ndarray
-    angle_pair: np.ndarray  # pair row of each two-hop triple's (k -> j)
-    local_cutoff: float
-    global_cutoff: float
+        return self.sbf_two[self.one_hop_rows]
 
 
 def _pair_lengths(coords: np.ndarray, edges: np.ndarray, reverse: np.ndarray):
@@ -412,77 +397,23 @@ def _pair_lengths(coords: np.ndarray, edges: np.ndarray, reverse: np.ndarray):
 def featurize(
     m: Molecule, g: MultiplexGraph, local_cutoff: float, global_cutoff: float
 ) -> GeometricFeatures:
-    """Index arrays for one molecule's graph, and what its bases need.
+    """Index arrays, pair lengths and angles for one molecule's graph.
 
     The local layer's radial and spherical embeddings use ``local_cutoff``
     as envelope scale, the global layer ``global_cutoff``.  Purely
     geometric: depends on inter-atom distances and angles only, never on
-    absolute positions.  This takes each undirected pair's length once and
-    enumerates the angle triples; :func:`evaluate_bases` turns them into
-    the basis rows.  A pair at distance zero raises ``ValueError`` here,
-    where the molecule is known.
+    absolute positions.  This takes each undirected pair's length once,
+    enumerates the angle triples and takes each two-hop triple's angle; the
+    features evaluate the bases from them.  A pair at distance zero raises
+    ``ValueError`` here, where the molecule is known.
     """
     triples = enumerate_angle_triples(g)
     coords = m.coords
     d_local, local_pair = _pair_lengths(coords, g.local_edges, g.local_reverse)
     d_global, global_pair = _pair_lengths(coords, g.global_edges, g.global_reverse)
-    inputs = _BasisInputs(
-        coords=coords,
-        two_hop=triples.two_hop,
-        d_local=d_local,
-        d_global=d_global,
-        angle_pair=local_pair[triples.two_hop_edge],
-        local_cutoff=float(local_cutoff),
-        global_cutoff=float(global_cutoff),
+    t = triples.two_hop
+    angles = angle_between(coords[t[:, 1]], coords[t[:, 0]], coords[t[:, 2]])
+    cutoffs = (local_cutoff, global_cutoff)
+    return GeometricFeatures(
+        g, triples, local_pair, global_pair, d_local, d_global, angles, cutoffs
     )
-    return GeometricFeatures(g, triples, local_pair, global_pair, inputs)
-
-
-def evaluate_bases(features) -> None:
-    """Fill the basis rows of every given :class:`GeometricFeatures`.
-
-    The molecules are evaluated together, one call of each basis over all
-    of them, and each molecule's rows are contiguous row ranges of the
-    joint ones.  Every value depends on its own pair or triple alone, so
-    the bytes equal those of a call per molecule.  The radial basis and the
-    radial part of the spherical basis are taken once per undirected pair.
-    Angles and the spherical basis are taken for the two-hop triples only:
-    every one-hop row is a two-hop row (the same triple).  All features
-    must share their two cutoffs.
-    """
-    todo = [f for f in features if f._bases is None]
-    if not todo:
-        return
-    ins = [f._inputs for f in todo]
-    local_cutoff, global_cutoff = ins[0].local_cutoff, ins[0].global_cutoff
-    if any((i.local_cutoff, i.global_cutoff) != (local_cutoff, global_cutoff) for i in ins):
-        raise ValueError("features evaluated together must share their cutoffs")
-
-    def joined(name, shift_by=None):
-        # One array over all molecules; an index array is shifted past the
-        # rows of ``shift_by`` that the molecules before it hold.
-        parts = [getattr(i, name) for i in ins]
-        if shift_by is not None:
-            rows = np.array([len(getattr(i, shift_by)) for i in ins])
-            parts = [p + s for p, s in zip(parts, np.cumsum(rows) - rows)]
-        return np.concatenate(parts)
-
-    coords = joined("coords")
-    t = joined("two_hop", "coords")
-    d_local = joined("d_local")
-    rbf_local = radial_basis(d_local, local_cutoff)
-    rbf_global = radial_basis(joined("d_global"), global_cutoff)
-    sbf_two = spherical_basis(
-        d_local,
-        angle_between(coords[t[:, 1]], coords[t[:, 0]], coords[t[:, 2]]),
-        local_cutoff,
-        edge=joined("angle_pair", "d_local"),
-    )
-
-    pl = pg = tt = 0
-    for f in todo:
-        i = f._inputs
-        nl, ng, nt = i.d_local.size, i.d_global.size, i.two_hop.shape[0]
-        f._bases = (rbf_local[pl : pl + nl], rbf_global[pg : pg + ng], sbf_two[tt : tt + nt])
-        f._inputs = None
-        pl, pg, tt = pl + nl, pg + ng, tt + nt

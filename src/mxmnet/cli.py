@@ -217,12 +217,15 @@ def cmd_featurize(args) -> int:
         _write_edge_csv(base + ".rbf_local.csv", feats.local_src, feats.local_dst, feats.rbf_local, "rbf")
         _write_edge_csv(base + ".rbf_global.csv", feats.global_src, feats.global_dst, feats.rbf_global, "rbf")
         two_hop, one_hop = _triple_nodes(feats)
-        _write_triple_csv(base + ".sbf_two.csv", ["k", "j", "i"], two_hop, feats.sbf_two)
-        _write_triple_csv(base + ".sbf_one.csv", ["jp", "i", "j"], one_hop, feats.sbf_one)
+        sbf_two = feats.sbf_two
+        _write_triple_csv(base + ".sbf_two.csv", ["k", "j", "i"], two_hop, sbf_two)
+        _write_triple_csv(
+            base + ".sbf_one.csv", ["jp", "i", "j"], one_hop, sbf_two[feats.one_hop_rows]
+        )
         print(
             f"{m.key or stem}: N={feats.n_nodes} El={feats.local_src.size} "
-            f"Eg={feats.global_src.size} T2={feats.sbf_two.shape[0]} "
-            f"T1={feats.sbf_one.shape[0]}"
+            f"Eg={feats.global_src.size} T2={feats.two_hop_edge.size} "
+            f"T1={feats.one_hop_edge.size}"
         )
     return 0
 

@@ -252,18 +252,26 @@ def load_manifest(path) -> Dataset:
 
     Blank lines and lines starting with ``#`` are skipped.  Each molecule's
     key is the manifest line, so membership of later splits does not depend
-    on line order.
+    on line order.  Two lines that name the same file (after
+    ``os.path.realpath``) are a :class:`ParseError` naming both lines.
     """
     import os
 
     base = os.path.dirname(os.path.abspath(path))
     mols = []
+    lines = {}  # the line each molecule file was listed on
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for num, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             p = line if os.path.isabs(line) else os.path.join(base, line)
+            real = os.path.realpath(p)
+            if real in lines:
+                raise ParseError(
+                    num, f"molecule file {line!r} listed twice, lines {lines[real]} and {num}", path
+                )
+            lines[real] = num
             mols.append(load_molecule(p, key=line))
     if not mols:
         raise ValueError(f"manifest {path} lists no molecules")

@@ -337,9 +337,11 @@ def global_mp(h, feats_g, params, prefix, n_res, tally=None):
     return _global_pass(h, rbf, src, dst, n, params, f"{prefix}/mp2", tally)
 
 
-def local_mp(h, feats, params, prefix, n_res, tally=None):
+def local_mp(h, bases, feats, params, prefix, n_res, tally=None):
     """Three-step local update folding in both angle families.
 
+    ``bases`` is the (rbf_local, sbf_two, sbf_one) tuple of tensors that
+    ``forward`` evaluates once per call; ``feats`` gives the index arrays.
     Step 1 sends, for every two-hop triple (k, j, i), the edge message of
     (k -> j) gated by the angle embedding at j, and adds the plain edge
     message of (j -> i).  Step 2 repeats the pattern with one-hop triples
@@ -347,9 +349,7 @@ def local_mp(h, feats, params, prefix, n_res, tally=None):
     with the edge embedding and aggregates into the receiving nodes; the
     result passes through the residual stack with no skip around it.
     """
-    rbf = Tensor(feats.rbf_local)
-    sbf2 = Tensor(feats.sbf_two)
-    sbf1 = Tensor(feats.sbf_one)
+    rbf, sbf2, sbf1 = bases
     src, dst, n = feats.local_src, feats.local_dst, feats.n_nodes
     e_l = int(src.shape[0])
 
@@ -398,10 +398,10 @@ def output_head(h, params, prefix):
 
 
 def prepare_inputs(m: Molecule, cfg: ModelConfig):
-    """Graph plus geometric features for one molecule (cache-friendly).
+    """Graph plus geometric features for one molecule.
 
-    The basis matrices are evaluated when first read, or beforehand for a
-    chunk of molecules by ``training.prepare_all``.
+    The features hold pair lengths and angles, not basis values;
+    ``forward`` evaluates the bases from them on each call.
     """
     g = build_multiplex(
         m,
@@ -423,8 +423,9 @@ def forward(
 ) -> Tensor:
     """Predict one scalar for one molecule.
 
-    Runs every block and sums the per-node head outputs across blocks.
-    Record onto a :class:`mxmnet.autodiff.Tape` to differentiate.
+    Evaluates each basis matrix once, then runs every block and sums the
+    per-node head outputs across blocks.  Record onto a
+    :class:`mxmnet.autodiff.Tape` to differentiate.
     """
     if feats is None:
         _, feats = prepare_inputs(m, cfg)
@@ -433,8 +434,9 @@ def forward(
         bad = int(z[(z < 1) | (z > elements.MAX_Z)][0])
         raise ValueError(f"atomic number {bad} outside the embedding range")
 
-    rbf_g = Tensor(feats.rbf_global)
-    feats_g = (rbf_g, feats.global_src, feats.global_dst, feats.n_nodes)
+    feats_g = (Tensor(feats.rbf_global), feats.global_src, feats.global_dst, feats.n_nodes)
+    sbf_two = feats.sbf_two
+    bases_l = (Tensor(feats.rbf_local), Tensor(sbf_two), Tensor(sbf_two[feats.one_hop_rows]))
 
     h_g = gather(params["embed/table"], z - 1)
     h_l = None
@@ -444,7 +446,7 @@ def forward(
         if cfg.local_first:
             if t == 0:
                 h_l = cross_layer_map(h_g, params, "cross_init", tally, init=True)
-            h_l = local_mp(h_l, feats, params, f"{p}/local", cfg.n_residuals, tally)
+            h_l = local_mp(h_l, bases_l, feats, params, f"{p}/local", cfg.n_residuals, tally)
             contributions.append(output_head(h_l, params, f"{p}/out"))
             h_g = cross_layer_map(h_l, params, f"{p}/cross_lg", tally)
             h_g = global_mp(h_g, feats_g, params, f"{p}/global", cfg.n_residuals, tally)
@@ -453,7 +455,7 @@ def forward(
         else:
             h_g = global_mp(h_g, feats_g, params, f"{p}/global", cfg.n_residuals, tally)
             h_l = cross_layer_map(h_g, params, f"{p}/cross_gl", tally)
-            h_l = local_mp(h_l, feats, params, f"{p}/local", cfg.n_residuals, tally)
+            h_l = local_mp(h_l, bases_l, feats, params, f"{p}/local", cfg.n_residuals, tally)
             contributions.append(output_head(h_l, params, f"{p}/out"))
             h_g = cross_layer_map(h_l, params, f"{p}/cross_lg", tally)
     total = contributions[0]

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, backward
-from .basis import evaluate_bases
 from .data import Dataset, subtract_atomrefs
 from .graph import count_messages
 from .model import (
@@ -66,34 +65,18 @@ __all__ = [
 ]
 
 
-# Summed global pairs at which prepare_all closes a chunk of molecules and
-# evaluates their bases together.  Per-molecule calls would cost more in
-# Python overhead than in arithmetic; the budget keeps a chunk's basis
-# temporaries to a few MB, and a molecule above it is a chunk of its own.
-_CHUNK_PAIRS = 8192
-
-
 def prepare_all(molecules, cfg: ModelConfig):
-    """Graph + features per molecule, in input order, bases evaluated.
+    """Graph + features per molecule, in input order, by ``prepare_inputs``.
 
-    ``prepare_inputs`` runs per molecule; the bases are evaluated per chunk
-    of molecules.  A molecule that cannot be featurized raises
-    ``ValueError`` with its key in front of the reason.
+    A molecule that cannot be featurized raises ``ValueError`` with its key
+    in front of the reason.
     """
-    prepared, chunk, pairs = [], [], 0
+    prepared = []
     for m in molecules:
         try:
-            g, feats = prepare_inputs(m, cfg)
+            prepared.append(prepare_inputs(m, cfg))
         except ValueError as e:
             raise ValueError(f"molecule {m.key!r}: {e}") from e
-        own = feats.global_src.size // 2
-        if chunk and pairs + own > _CHUNK_PAIRS:
-            evaluate_bases(chunk)
-            chunk, pairs = [], 0
-        prepared.append((g, feats))
-        chunk.append(feats)
-        pairs += own
-    evaluate_bases(chunk)
     return prepared
 
 

@@ -9,7 +9,6 @@ from scipy import special
 
 from mxmnet import fixtures
 from mxmnet.basis import (
-    evaluate_bases,
     N_RBF,
     N_SHBF,
     N_SRBF,
@@ -322,13 +321,34 @@ def test_spherical_jl_rejects_negative_degrees_and_arguments():
         spherical_jl(2, [1.0, -0.5])
 
 
-def test_evaluate_bases_rejects_mixed_cutoffs():
-    m = fixtures.water()
+def test_features_evaluate_their_bases_at_their_own_cutoffs():
+    # Features of one molecule made at two cutoff pairs: each reads as the
+    # bases evaluated directly, per edge and per triple, at its own pair.
+    m = fixtures.methane()
     g = build_multiplex(m, global_cutoff=5.0)
-    for local, glob in ((1.5, 5.0), (2.0, 4.0)):
-        pair = [featurize(m, g, 2.0, 5.0), featurize(m, g, local, glob)]
-        with pytest.raises(ValueError, match="^features evaluated together must share their cutoffs$"):
-            evaluate_bases(pair)
+    tri = enumerate_angle_triples(g)
+    t = tri.two_hop
+    angles = angle_between(m.coords[t[:, 1]], m.coords[t[:, 0]], m.coords[t[:, 2]])
+
+    def lengths(edges):
+        return np.linalg.norm(m.coords[edges[:, 0]] - m.coords[edges[:, 1]], axis=1)
+
+    d_local, d_global = lengths(g.local_edges), lengths(g.global_edges)
+    seen = set()
+    for local, glob in ((2.0, 5.0), (1.5, 4.0)):
+        f = featurize(m, g, local, glob)
+        sbf_two = spherical_basis(d_local[tri.two_hop_edge], angles, local)
+        want = {
+            "rbf_local": radial_basis(d_local, local),
+            "rbf_global": radial_basis(d_global, glob),
+            "sbf_two": sbf_two,
+            "sbf_one": sbf_two[tri.one_hop_rows],
+        }
+        for name, arr in want.items():
+            got = getattr(f, name)
+            assert got.shape == arr.shape and got.tobytes() == arr.tobytes(), (local, glob, name)
+            seen.add((name, got.tobytes()))
+    assert len(seen) == 8  # each matrix changes with its cutoff
 
 
 def test_featurize_single_atom_is_empty():

@@ -500,6 +500,22 @@ def test_featurization_error_names_the_molecule(tmp_path, capsys, command):
     assert err == "error: molecule 'dup.extxyz': atoms 0 and 1 are at the same position\n"
 
 
+@pytest.mark.parametrize("entry", ["fit00.extxyz", "./fit00.extxyz"])
+def test_a_molecule_file_listed_twice_fails_with_one_line(tmp_path, capsys, entry):
+    # Listed twice, the molecule could land in train, val and test at once.
+    manifest = _overfit_manifest(tmp_path, n=10)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(f"# again\n{entry}\n")
+    cfg = _train_cfg_file(
+        tmp_path, manifest, tmp_path / "run", train_frac=0.5, val_frac=0.2, test_frac=0.3
+    )
+    assert cli.main(["train", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {manifest}:12: molecule file {entry!r} listed twice, lines 1 and 12\n"
+    assert not os.path.exists(tmp_path / "run")
+
+
 @pytest.mark.parametrize("command", ["train", "featurize", "atomrefs"])
 def test_parse_errors_name_their_file(tmp_path, capsys, command):
     manifest = _overfit_manifest(tmp_path)

@@ -1,5 +1,6 @@
 """Model wiring: parameter init, block behavior, invariances, checkpoints."""
 
+import collections
 import math
 import os
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mxmnet import fixtures
+from mxmnet import basis, fixtures
 from mxmnet.autodiff import Tape, Tensor, backward
 from mxmnet.data import Molecule
 from mxmnet.graph import count_messages
@@ -317,7 +318,8 @@ def test_local_mp_without_triples_matches_numpy_oracle():
     assert feats.sbf_two.shape[0] == 0
 
     h = np.random.default_rng(16).standard_normal((2, 8))
-    got = local_mp(Tensor(h.copy()), feats, params, "layer0/local", 1).data
+    bases = (Tensor(feats.rbf_local), Tensor(feats.sbf_two), Tensor(feats.sbf_one))
+    got = local_mp(Tensor(h.copy()), bases, feats, params, "layer0/local", 1).data
 
     rbf = feats.rbf_local
     pair = np.concatenate([h[feats.local_src], h[feats.local_dst], rbf], axis=1)
@@ -331,6 +333,31 @@ def test_local_mp_without_triples_matches_numpy_oracle():
     s = z * _sigmoid(z)
     want = agg + s @ params[f"{pre}/w2"].data + params[f"{pre}/b2"].data
     assert rel_gap(got, want) < 1e-12
+
+
+def test_forward_evaluates_each_basis_once_per_call(monkeypatch):
+    # Whatever the block count, one forward call evaluates the two radial
+    # matrices and the spherical one once each.
+    cfg = tiny_cfg(n_layers=3)
+    params = init_params(cfg, seed=31)
+    m = fixtures.methane()
+    _, feats = prepare_inputs(m, cfg)
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(basis, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("radial_basis", "spherical_basis"):
+        monkeypatch.setattr(basis, name, counted(name))
+    first = forward(m, params, cfg, feats=feats).item()
+    assert forward(m, params, cfg, feats=feats).item() == first
+    assert calls == {"radial_basis": 4, "spherical_basis": 2}
 
 
 def test_triangle_triples_never_gate_with_the_receiver():

@@ -282,47 +282,37 @@ def test_prepare_all_features_view_the_graph_edges():
 _BASES = ("rbf_local", "rbf_global", "sbf_two", "sbf_one")
 
 
-def test_prepare_all_bases_match_each_molecule_alone(monkeypatch):
-    # Chunked evaluation must give every molecule the bytes of a chunk of
-    # one, wherever the chunk boundaries fall.
+def test_prepare_all_gives_each_molecule_the_bytes_of_prepare_inputs():
     rng = np.random.default_rng(71)
     mols = fixtures.fixture_set() + [
         Molecule([6], [[0.0, 0.0, 0.0]], key="atom"),
         fixtures.dihydrogen(),  # no triples
         Molecule([6, 8], [[0.0, 0.0, 0.0], [0.0, 0.0, 6.0]], key="far"),  # no edges
     ]
-    # QM9-sized molecules, like the benchmark's, around one over the budget
     sizes = rng.integers(9, 30, size=12)
     mols += [fixtures.random_molecule(rng, int(n), key=f"qm9_{k}") for k, n in enumerate(sizes)]
     mols.insert(len(mols) - 6, fixtures.random_molecule(rng, 250, key="big"))
-    default = training._CHUNK_PAIRS
     for rule in ("bonds", "cutoff"):
         for excludes in (False, True):
             cfg = ModelConfig(local_rule=rule, global_excludes_local=excludes)
-            alone = {}
-            for m in mols:
-                _, f = prepare_inputs(m, cfg)
-                alone[m.key] = [(getattr(f, n).shape, getattr(f, n).tobytes()) for n in _BASES]
-            big = prepare_inputs(mols[-7], cfg)[1].global_src.size // 2
-            assert big > default
-            for budget in (1, 97, 1000, default, big + 10**6):
-                monkeypatch.setattr(training, "_CHUNK_PAIRS", budget)
-                for m, (_, f) in zip(mols, prepare_all(mols, cfg)):
-                    assert f._bases is not None, "prepare_all returned unfilled features"
-                    got = [(getattr(f, n).shape, getattr(f, n).tobytes()) for n in _BASES]
-                    assert got == alone[m.key], (rule, excludes, budget, m.key)
-                    assert all(getattr(f, n).flags.c_contiguous for n in _BASES)
+            for m, (_, f) in zip(mols, prepare_all(mols, cfg)):
+                _, alone = prepare_inputs(m, cfg)
+                for name in _BASES:
+                    got, want = getattr(f, name), getattr(alone, name)
+                    assert got.shape == want.shape, (rule, excludes, m.key, name)
+                    assert got.tobytes() == want.tobytes(), (rule, excludes, m.key, name)
+                    assert got.flags.c_contiguous
 
 
-def test_prepare_all_stores_each_basis_value_once():
-    # One radial row per undirected pair and one spherical row per two-hop
-    # triple, the per-edge and one-hop matrices gathered on read: about
-    # 118 KiB per 18-atom molecule, against 207 KiB with every row stored
-    # once per directed edge and once per triple family.
+def test_prepare_all_stores_no_basis_value():
+    # One length per undirected pair and one angle per two-hop triple, the
+    # bases evaluated from them on read: about 25 KiB per 18-atom molecule,
+    # against 116 KiB with a radial row per pair and a spherical row per
+    # two-hop triple stored.
     rng = np.random.default_rng(0)
     mols = [fixtures.random_molecule(rng, n_atoms=18) for _ in range(100)]
     cfg = ModelConfig()
-    prepare_all(mols[:2], cfg)  # warm-up: the cached root and norm tables
+    prepare_all(mols[:2], cfg)  # warm-up
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -331,7 +321,7 @@ def test_prepare_all_stores_each_basis_value_once():
     finally:
         tracemalloc.stop()
     assert len(prepared) == len(mols)
-    assert held / len(mols) <= 150 * 1024, f"{held / len(mols) / 1024:.1f} KiB per molecule"
+    assert held / len(mols) <= 40 * 1024, f"{held / len(mols) / 1024:.1f} KiB per molecule"
 
 
 def _toy_dataset(n=6, fractions=(1.0, 0.0, 0.0), seed=0):
