@@ -24,7 +24,8 @@ Design constraints honoured here:
   more: ``swish`` its sigmoid and its output, ``mul`` the other operand
   only for an operand that needs a gradient, ``matmul`` its left operand
   for the weight gradient and the row block of its right operand for the
-  input gradient; ``add``, ``gather``, ``segment_sum`` and ``sum_all``
+  input gradient, ``swish_gate`` its pre-activation and the basis and
+  weight it reads; ``add``, ``gather``, ``segment_sum`` and ``sum_all``
   read no array.  So once the caller drops an intermediate tensor, numpy
   frees every array no rule reads during forward;
 * ``backward`` takes each step's output gradient out of its slot before
@@ -35,8 +36,15 @@ Design constraints honoured here:
   both operands need it;
 * ``matmul`` takes an optional bias, so a dense layer is one step, and may
   read a row block of its right operand, so a layer on concatenated
-  features can run per part; ``swish`` keeps its sigmoid for backward
-  instead of recomputing it;
+  features can run per part;
+* swish folds into the step that consumes it: ``matmul(x, w,
+  swish_a=True)`` multiplies ``swish(x)``, and ``swish_gate(x, basis, w)``
+  is ``swish(x) * (basis @ w)``.  Each keeps only the pre-activation
+  ``x`` where the unfused steps keep the sigmoid, the activation and, for
+  the gate, the gate itself.  Backward recomputes them with the code the
+  forward ran, so values and gradients have the unfused steps' bytes.  The
+  model keeps a plain ``swish`` where its output feeds a gather, an add or
+  a product with another activation;
 * ``gather`` and ``segment_sum`` are exact transposes: ``gather``'s
   backward and ``segment_sum``'s forward are one scatter-sum, which adds
   each bucket's rows in input order (deterministic for a given input, not
@@ -64,6 +72,7 @@ __all__ = [
     "gather",
     "segment_sum",
     "swish",
+    "swish_gate",
     "sum_all",
 ]
 
@@ -267,6 +276,7 @@ def matmul(
     b: Tensor,
     bias: Tensor | None = None,
     rows: tuple[int, int] | None = None,
+    swish_a: bool = False,
 ) -> Tensor:
     """Matrix product of a (m, k) tensor with a (k, n) tensor.
 
@@ -274,7 +284,9 @@ def matmul(
     a dense layer records one step.  With ``rows=(lo, hi)`` the right
     operand is the row block ``b[lo:hi]``, so ``k`` must be ``hi - lo``; the
     weight gradient lands in those rows of ``b.grad`` and the other rows
-    receive zero.
+    receive zero.  With ``swish_a`` the left operand is a pre-activation:
+    the step multiplies ``swish(a)``, drops it, and recomputes it in
+    backward, with the bytes of ``matmul(swish(a), b, ...)``.
     """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
@@ -295,7 +307,7 @@ def matmul(
         )
     operands = (a, b)
     block = b.data[lo:hi]
-    product = a.data @ block
+    product = (_sigmoid_swish(a.data)[1] if swish_a else a.data) @ block
     if bias is not None:
         if bias.data.shape != (b.data.shape[1],):
             raise ShapeError(
@@ -306,16 +318,20 @@ def matmul(
         operands = (a, b, bias)
     sa, sb = _slot_of(a), _slot_of(b)
     s_bias = None if bias is None else _slot_of(bias)
-    a_data = a.data if sb is not None else None
+    # The weight gradient reads the left operand; with swish_a the input
+    # gradient reads it too, to recompute the activation.
+    a_data = a.data if sb is not None or (swish_a and sa is not None) else None
     b_block = block if sa is not None else None
     b_shape = b.data.shape
     out = Tensor(product, _require_grad(*operands))
 
     def backward_fn(g):
+        s, left = _sigmoid_swish(a_data) if swish_a else (None, a_data)
         if sa is not None:
-            _accumulate(sa, g @ b_block.T)
+            ga = g @ b_block.T
+            _accumulate(sa, _swish_grad(ga, s, left) if swish_a else ga)
         if sb is not None:
-            gb = a_data.T @ g
+            gb = left.T @ g
             if rows is None:
                 _accumulate(sb, gb)
             else:
@@ -395,29 +411,95 @@ def segment_sum(x: Tensor, segments, num_segments: int) -> Tensor:
     return _record("segment_sum", out, backward_fn)
 
 
+def _sigmoid_swish(x: np.ndarray):
+    """``(sigmoid(x), swish(x))``, the sigmoid computed as 1 / (1 + exp(-x))
+    in one buffer.
+
+    Every rule that recomputes an activation calls this, as its forward
+    did, so it gets the forward's bytes.  Below x of about -709, exp
+    overflows to inf, which yields the correct limit 0, so that overflow is
+    not reported.
+    """
+    s = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return s, x * s
+
+
+def _swish_grad(g, s, y):
+    """The gradient of swish's input, written over ``g``, the gradient of
+    its output ``y`` (a fresh array the caller hands over), given its
+    sigmoid ``s``."""
+    # d/dx x s(x) = s + x s (1 - s) = s + y (1 - s)
+    d = 1.0 - s
+    d *= y
+    d += s
+    g *= d
+    return g
+
+
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x), the activation used throughout the model.
 
-    The sigmoid is computed once as 1 / (1 + exp(-x)) and kept for
-    backward, with the output; the input is not kept.  Below x of about
-    -709, exp overflows to inf, which yields the correct limit 0, so that
-    overflow is not reported.
+    The sigmoid and the output are kept for backward; the input is not.
+    Where a matmul or a gate consumes the output, ``matmul`` with
+    ``swish_a`` and :func:`swish_gate` keep the input alone instead.
     """
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x.data))
-    y = x.data * s
+    s, y = _sigmoid_swish(x.data)
     sx = _slot_of(x)
     out = Tensor(y, x.requires_grad)
 
     def backward_fn(g):
-        # d/dx x s(x) = s + x s (1 - s) = s + y (1 - s)
-        d = 1.0 - s
-        d *= y
-        d += s
-        d *= g
-        _accumulate(sx, d)
+        _accumulate(sx, _swish_grad(g, s, y))
 
     return _record("swish", out, backward_fn)
+
+
+def swish_gate(x: Tensor, basis: Tensor, w: Tensor) -> Tensor:
+    """``swish(x) * (basis @ w)``: messages ``x``, activated and gated
+    elementwise by a linear image of a basis.
+
+    The rule keeps ``x`` and reads ``basis`` and ``w``, which the caller
+    holds anyway; backward recomputes the activation and the gate, so the
+    step keeps one array of the output's shape where ``mul(swish(x),
+    matmul(basis, w))`` keeps three (sigmoid, activation and gate), with
+    the same bytes.
+    """
+    if x.data.ndim != 2 or basis.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(
+            f"swish_gate needs 2-d operands, got {x.data.shape}, "
+            f"{basis.data.shape} and {w.data.shape}"
+        )
+    (m, n), k = x.data.shape, basis.data.shape[1]
+    if basis.data.shape[0] != m or w.data.shape != (k, n):
+        raise ShapeError(
+            f"swish_gate: messages {x.data.shape}, basis {basis.data.shape} "
+            f"and weight {w.data.shape} do not fit"
+        )
+    sx, s_basis, s_w = _slot_of(x), _slot_of(basis), _slot_of(w)
+    x_data, basis_data, w_data = x.data, basis.data, w.data
+    out = Tensor(
+        _sigmoid_swish(x_data)[1] * (basis_data @ w_data),
+        _require_grad(x, basis, w),
+    )
+
+    def backward_fn(g):
+        s, y = _sigmoid_swish(x_data)
+        if sx is not None:
+            g_y = basis_data @ w_data
+            g_y *= g
+            _accumulate(sx, _swish_grad(g_y, s, y))
+        if s_basis is not None or s_w is not None:
+            g_gate = y
+            g_gate *= g
+            if s_basis is not None:
+                _accumulate(s_basis, g_gate @ w_data.T)
+            if s_w is not None:
+                _accumulate(s_w, basis_data.T @ g_gate)
+
+    return _record("swish_gate", out, backward_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -40,6 +40,7 @@ from .autodiff import (
     segment_sum,
     sum_all,
     swish,
+    swish_gate,
 )
 from .basis import N_RBF, N_SHBF, N_SRBF, GeometricFeatures, featurize
 from .data import Molecule
@@ -284,26 +285,27 @@ def _linear(x, params, w_name, b_name):
 
 
 def _mlp2(x, params, prefix):
-    # Two linear layers, swish after each.
-    h = swish(_linear(x, params, f"{prefix}/w1", f"{prefix}/b1"))
-    return swish(_linear(h, params, f"{prefix}/w2", f"{prefix}/b2"))
+    # Two linear layers, swish after each.  This returns the second layer's
+    # pre-activation: the caller applies the second swish, folded into the
+    # step that consumes it where that step is a matmul or a gate.
+    h = _linear(x, params, f"{prefix}/w1", f"{prefix}/b1")
+    return matmul(h, params[f"{prefix}/w2"], params[f"{prefix}/b2"], swish_a=True)
 
 
 def residual_update(h, params, prefix, n_res):
     """Residual stack: n_res times h <- h + W2 swish(W1 h + b1) + b2."""
     for r in range(n_res):
-        p = f"{prefix}/res{r}"
-        inner = swish(_linear(h, params, f"{p}/w1", f"{p}/b1"))
-        h = add(h, _linear(inner, params, f"{p}/w2", f"{p}/b2"))
+        h = add(h, _mlp2(h, params, f"{prefix}/res{r}"))
     return h
 
 
 def _edge_mlp2(h, rbf, src, dst, params, prefix):
-    # _mlp2 on the edge rows concat([h[src], h[dst], rbf]).  The first layer
-    # is split by rows of w1 and its node parts run on the n nodes before
-    # the gather, not on the E edges after it.  w1 stays one (2F + N_RBF, F)
-    # parameter read in row blocks, so the parameter layout, checkpoint
-    # bytes and older checkpoints are unchanged.
+    # _mlp2 on the edge rows concat([h[src], h[dst], rbf]), returning the
+    # second layer's pre-activation as _mlp2 does.  The first layer is split
+    # by rows of w1 and its node parts run on the n nodes before the gather,
+    # not on the E edges after it.  w1 stays one (2F + N_RBF, F) parameter
+    # read in row blocks, so the parameter layout, checkpoint bytes and
+    # older checkpoints are unchanged.
     f = h.data.shape[1]
     w1 = params[f"{prefix}/w1"]
     x = add(
@@ -313,12 +315,15 @@ def _edge_mlp2(h, rbf, src, dst, params, prefix):
         ),
         matmul(rbf, w1, params[f"{prefix}/b1"], rows=(2 * f, 2 * f + N_RBF)),
     )
-    return swish(_linear(swish(x), params, f"{prefix}/w2", f"{prefix}/b2"))
+    return matmul(x, params[f"{prefix}/w2"], params[f"{prefix}/b2"], swish_a=True)
 
 
 def _global_pass(h, rbf, src, dst, n, params, prefix, tally):
-    msg = _edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp")
-    msg = mul(msg, matmul(rbf, params[f"{prefix}/edge_w"]))
+    msg = swish_gate(
+        _edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp"),
+        rbf,
+        params[f"{prefix}/edge_w"],
+    )
     if tally is not None:
         tally.global_mp += int(msg.data.shape[0])
     return add(h, segment_sum(msg, dst, n))
@@ -353,23 +358,24 @@ def local_mp(h, bases, feats, params, prefix, n_res, tally=None):
     src, dst, n = feats.local_src, feats.local_dst, feats.n_nodes
     e_l = int(src.shape[0])
 
-    edge_part = mul(
+    edge_part = swish_gate(
         _edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp_kj"),
-        matmul(rbf, params[f"{prefix}/edge_w1"]),
+        rbf,
+        params[f"{prefix}/edge_w1"],
     )
-    tri_gate = _mlp2(sbf2, params, f"{prefix}/gate1")
+    tri_gate = swish(_mlp2(sbf2, params, f"{prefix}/gate1"))
     tri_msg = mul(gather(edge_part, feats.two_hop_edge), tri_gate)
-    edge_msg = _edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp_ji")
+    edge_msg = swish(_edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp_ji"))
     if tally is not None:
         tally.local_step1 += int(tri_msg.data.shape[0]) + int(edge_msg.data.shape[0])
     m1 = add(edge_msg, segment_sum(tri_msg, feats.two_hop_target, e_l))
 
-    part2 = mul(
-        _mlp2(m1, params, f"{prefix}/mlp_m"),
-        matmul(rbf, params[f"{prefix}/edge_w2"]),
+    part2 = swish_gate(_mlp2(m1, params, f"{prefix}/mlp_m"), rbf, params[f"{prefix}/edge_w2"])
+    tri2 = mul(
+        gather(part2, feats.one_hop_edge),
+        swish(_mlp2(sbf1, params, f"{prefix}/gate2")),
     )
-    tri2 = mul(gather(part2, feats.one_hop_edge), _mlp2(sbf1, params, f"{prefix}/gate2"))
-    m2_edge = _mlp2(m1, params, f"{prefix}/mlp_m2")
+    m2_edge = swish(_mlp2(m1, params, f"{prefix}/mlp_m2"))
     if tally is not None:
         tally.local_step2 += int(tri2.data.shape[0]) + int(m2_edge.data.shape[0])
     m2 = add(m2_edge, segment_sum(tri2, feats.one_hop_target, e_l))
@@ -383,7 +389,7 @@ def local_mp(h, bases, feats, params, prefix, n_res, tally=None):
 
 def cross_layer_map(h, params, prefix, tally=None, init=False):
     """Row-wise two-layer MLP; the result replaces the destination layer."""
-    out = _mlp2(h, params, prefix)
+    out = swish(_mlp2(h, params, prefix))
     if tally is not None:
         if init:
             tally.cross_init += int(out.data.shape[0])
@@ -394,7 +400,7 @@ def cross_layer_map(h, params, prefix, tally=None, init=False):
 
 def output_head(h, params, prefix):
     """Per-node scalar: two (linear + swish) layers then a biasless F -> 1."""
-    return matmul(_mlp2(h, params, prefix), params[f"{prefix}/w3"])
+    return matmul(_mlp2(h, params, prefix), params[f"{prefix}/w3"], swish_a=True)
 
 
 def prepare_inputs(m: Molecule, cfg: ModelConfig):

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from mxmnet import autodiff
 from mxmnet.autodiff import (
     ShapeError,
     Tape,
@@ -18,6 +19,7 @@ from mxmnet.autodiff import (
     segment_sum,
     sum_all,
     swish,
+    swish_gate,
 )
 from conftest import central_diff, rel_gap
 
@@ -360,6 +362,178 @@ def test_swish_grad_is_finite_at_extremes():
     assert np.array_equal(x.grad, [[0.0, 1.0, 0.0, 1.0]])
 
 
+# Pre-activations for the fused steps: standard normal, and with entries
+# near and past exp's overflow edge, as in test_swish_is_stable_at_extremes.
+_EXTREMES = np.array([-745.0, 745.0, -1e30, 1e3, -709.5, 40.0])
+
+
+def _pre_activation(rng, shape, extremes):
+    x = rng.standard_normal(shape) * 3.0
+    if extremes:
+        x.flat[: _EXTREMES.size] = _EXTREMES
+    return x
+
+
+def _value_and_grads(build, arrays, needs_grad, proj):
+    """build(*tensors), projected onto ``proj`` and backpropagated from
+    0.75: the built value and each tensor's gradient (``None`` for those
+    that need none)."""
+    tensors = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs_grad)]
+    with Tape() as tape:
+        y = build(*tensors)
+        out = sum_all(mul(y, Tensor(proj)))
+    backward(out, tape, 0.75)
+    return y.data, [t.grad for t in tensors]
+
+
+def _assert_same_bytes(fused, unfused):
+    (y_f, grads_f), (y_u, grads_u) = fused, unfused
+    assert y_f.shape == y_u.shape and y_f.tobytes() == y_u.tobytes()
+    for g_f, g_u in zip(grads_f, grads_u):
+        if g_u is None:
+            assert g_f is None
+        else:
+            assert g_f.shape == g_u.shape and g_f.tobytes() == g_u.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bias, rows, constant_left, extremes",
+    [
+        (False, None, False, False),
+        (True, None, False, False),
+        (True, (2, 7), False, False),
+        (False, (0, 5), False, False),
+        (True, None, True, False),
+        (True, (2, 7), False, True),
+    ],
+    ids=["plain", "bias", "row block", "row block without bias", "constant left", "extremes"],
+)
+def test_swish_matmul_has_the_bytes_of_swish_then_matmul(bias, rows, constant_left, extremes):
+    rng = np.random.default_rng(31)
+    x = _pre_activation(rng, (9, 5), extremes)
+    w = rng.standard_normal((9 if rows else 5, 4))
+    b = rng.standard_normal(4)
+    proj = rng.standard_normal((9, 4))
+    arrays, needs = [x, w, b], [not constant_left, True, True]
+
+    def build(fused):
+        def run(tx, tw, tb):
+            tb = tb if bias else None
+            if fused:
+                return matmul(tx, tw, tb, rows=rows, swish_a=True)
+            return matmul(swish(tx), tw, tb, rows=rows)
+
+        return run
+
+    fused = _value_and_grads(build(True), arrays, needs, proj)
+    _assert_same_bytes(fused, _value_and_grads(build(False), arrays, needs, proj))
+    assert np.all(np.isfinite(fused[0])) and all(
+        g is None or np.all(np.isfinite(g)) for g in fused[1]
+    )
+
+
+@pytest.mark.parametrize(
+    "needs_grad, extremes",
+    [
+        ((True, False, True), False),
+        ((True, True, True), False),
+        ((False, False, True), False),
+        ((True, False, False), False),
+        ((True, True, True), True),
+    ],
+    ids=["constant basis", "every operand", "constant messages", "constant weight", "extremes"],
+)
+def test_swish_gate_has_the_bytes_of_swish_then_a_gated_mul(needs_grad, extremes):
+    rng = np.random.default_rng(32)
+    x = _pre_activation(rng, (8, 5), extremes)
+    basis = rng.standard_normal((8, 3))
+    w = rng.standard_normal((3, 5))
+    proj = rng.standard_normal((8, 5))
+    fused = _value_and_grads(swish_gate, [x, basis, w], needs_grad, proj)
+    unfused = _value_and_grads(
+        lambda tx, tbasis, tw: mul(swish(tx), matmul(tbasis, tw)),
+        [x, basis, w],
+        needs_grad,
+        proj,
+    )
+    _assert_same_bytes(fused, unfused)
+    assert np.all(np.isfinite(fused[0])) and all(
+        g is None or np.all(np.isfinite(g)) for g in fused[1]
+    )
+
+
+def _np_swish(x):
+    return x / (1.0 + np.exp(-x))
+
+
+def test_swish_matmul_grads_match_fd():
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((4, 3)) * 2.0
+    b = rng.standard_normal((6, 5))
+    bias = rng.standard_normal(5)
+    proj = rng.standard_normal((4, 5))
+    tx, tb, tbias = (Tensor(a, requires_grad=True) for a in (x, b, bias))
+    grads = _grad_of(
+        lambda: sum_all(mul(matmul(tx, tb, tbias, rows=(1, 4), swish_a=True), Tensor(proj))),
+        [tx, tb, tbias],
+    )
+    ref = lambda: float(np.sum((_np_swish(x) @ b[1:4] + bias) * proj))
+    for got, arr in zip(grads, (x, b, bias)):
+        assert rel_gap(got, central_diff(ref, arr, FD_STEP)) < FD_TOL
+
+
+def test_swish_gate_grads_match_fd():
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((6, 4)) * 2.0
+    basis = rng.standard_normal((6, 3))
+    w = rng.standard_normal((3, 4))
+    proj = rng.standard_normal((6, 4))
+    tensors = [Tensor(a, requires_grad=True) for a in (x, basis, w)]
+    grads = _grad_of(lambda: sum_all(mul(swish_gate(*tensors), Tensor(proj))), tensors)
+    ref = lambda: float(np.sum(_np_swish(x) * (basis @ w) * proj))
+    for got, arr in zip(grads, (x, basis, w)):
+        assert rel_gap(got, central_diff(ref, arr, FD_STEP)) < FD_TOL
+
+
+@pytest.mark.parametrize(
+    "fused, unfused",
+    [
+        (
+            lambda x, basis, w: matmul(x, w, swish_a=True),
+            lambda x, basis, w: matmul(swish(x), w),
+        ),
+        (swish_gate, lambda x, basis, w: mul(swish(x), matmul(basis, w))),
+    ],
+    ids=["matmul", "gate"],
+)
+def test_a_fused_step_frees_its_activation_during_forward(monkeypatch, fused, unfused):
+    # A fused step drops the sigmoid and the activation it computed before
+    # it returns, and its rule computes them afresh; the plain swish keeps
+    # both on the tape until the tape goes.
+    made = []
+    sigmoid_swish = autodiff._sigmoid_swish
+
+    def tracked(x):
+        s, y = sigmoid_swish(x)
+        made.extend((weakref.ref(s), weakref.ref(y)))
+        return s, y
+
+    monkeypatch.setattr(autodiff, "_sigmoid_swish", tracked)
+    rng = np.random.default_rng(35)
+    x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    basis = Tensor(rng.standard_normal((6, 3)))
+    w = Tensor(rng.standard_normal((3 if fused is swish_gate else 4, 4)), requires_grad=True)
+    for build, kept in ((fused, False), (unfused, True)):
+        made.clear()
+        with Tape() as tape:
+            out = sum_all(build(x, basis, w))
+        assert len(made) == 2
+        assert all((ref() is not None) == kept for ref in made)
+        backward(out, tape)
+        del tape, out
+        assert all(ref() is None for ref in made)
+
+
 def test_composite_graph_matches_fd():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 4))
@@ -462,6 +636,12 @@ def test_shape_mismatches_raise():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 2))), rows=(3, 6))
     with pytest.raises(ShapeError, match=r"^matmul needs 2-d operands, got \(3,\) and \(3, 2\)$"):
         matmul(Tensor(np.ones(3)), b)
+    with pytest.raises(ShapeError, match=r"^swish_gate needs 2-d operands"):
+        swish_gate(Tensor(np.ones(3)), a, b)
+    with pytest.raises(ShapeError, match=r"^swish_gate: messages \(2, 3\), basis \(3, 3\)"):
+        swish_gate(a, Tensor(np.ones((3, 3))), Tensor(np.ones((3, 3))))
+    with pytest.raises(ShapeError, match=r"^swish_gate: messages \(2, 3\), basis \(2, 4\)"):
+        swish_gate(a, Tensor(np.ones((2, 4))), Tensor(np.ones((4, 2))))
     with pytest.raises(ShapeError, match=r"^gather needs a 2-d tensor, got shape \(3,\)$"):
         gather(Tensor(np.ones(3)), [0])
     with pytest.raises(ShapeError, match=r"^item\(\) needs a scalar, got shape \(2, 3\)$"):
