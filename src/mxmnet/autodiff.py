@@ -363,9 +363,10 @@ def _scatter_sum(data, index, num):
 
     Each bucket adds its rows in input order; empty buckets come out as
     zero rows.  An ascending ``index`` is its own stable sort, so it skips
-    the sort and the reordered copy of ``data``.  The model's
-    ``segment_sum`` calls pass ascending indices; ``gather``'s backward over
-    edge sources, triple edge ids or atomic numbers does not, and sorts.
+    the sort and the reordered copy of ``data``.  Most of the model's
+    ``segment_sum`` calls pass ascending indices; local step 2's reverse
+    targets and ``gather``'s backward over edge sources, triple edge ids or
+    atomic numbers do not, and sort.
     """
     out = np.zeros((num,) + data.shape[1:], dtype=np.float64)
     if index.size:

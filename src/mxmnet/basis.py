@@ -24,10 +24,9 @@ every read, and ``model.forward`` reads each once per call.  The radial
 basis and the radial part of the spherical basis depend on the edge length
 only, and an edge and its reverse have the same length to the bit, so both
 are evaluated once per undirected pair and gathered onto the directed
-edges and the triples.  The one-hop triples list the same angles as the
-two-hop triples, so the spherical basis is evaluated for the two-hop
-family and the one-hop rows gather it through
-``AngleTriples.one_hop_rows``.
+edges and the triples.  The angle triples are one family, the two-hop
+rows of ``graph.AngleTriples``, so the spherical basis has one row per
+angle; ``sbf_one`` gathers those rows into one-hop order.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from .data import Molecule
-from .graph import MultiplexGraph, enumerate_angle_triples
+from .graph import MultiplexGraph, enumerate_angle_triples, one_hop_rows
 
 __all__ = [
     "N_RBF",
@@ -334,10 +333,9 @@ class GeometricFeatures:
     No basis value is stored.  The features hold one length per undirected
     pair of each layer, one angle per two-hop triple and the two cutoffs,
     and the four basis matrices are evaluated from them on every read.
-    ``local_pair`` and ``global_pair`` give each directed edge's pair row
-    and ``one_hop_rows`` each one-hop triple's two-hop row: the radial rows
-    are taken once per pair and the spherical rows once per two-hop
-    triple, then gathered.
+    ``local_pair`` and ``global_pair`` give each directed edge's pair row:
+    the radial rows are taken once per pair, then gathered, and the
+    spherical rows once per triple.
     """
 
     def __init__(self, g, triples, local_pair, global_pair, d_local, d_global, angles, cutoffs):
@@ -346,9 +344,7 @@ class GeometricFeatures:
         self.global_src, self.global_dst = g.global_edges.T
         self.two_hop_edge = triples.two_hop_edge
         self.two_hop_target = triples.two_hop_target
-        self.one_hop_edge = triples.one_hop_edge
-        self.one_hop_target = triples.one_hop_target
-        self.one_hop_rows = triples.one_hop_rows
+        self.reverse_target = triples.reverse_target
         self.local_pair = local_pair
         self.global_pair = global_pair
         self.d_local = d_local
@@ -374,8 +370,8 @@ class GeometricFeatures:
 
     @property
     def sbf_one(self) -> np.ndarray:
-        """(T1, 42) spherical rows of the one-hop triples."""
-        return self.sbf_two[self.one_hop_rows]
+        """(T1, 42) spherical rows of the one-hop triples, in one-hop order."""
+        return self.sbf_two[one_hop_rows(self)]
 
 
 def _pair_lengths(coords: np.ndarray, edges: np.ndarray, reverse: np.ndarray):

@@ -216,33 +216,25 @@ def cmd_featurize(args) -> int:
             fh.write(graphmod.dump_graph(g))
         _write_edge_csv(base + ".rbf_local.csv", feats.local_src, feats.local_dst, feats.rbf_local, "rbf")
         _write_edge_csv(base + ".rbf_global.csv", feats.global_src, feats.global_dst, feats.rbf_global, "rbf")
-        two_hop, one_hop = _triple_nodes(feats)
-        sbf_two = feats.sbf_two
+        # The one-hop table lists the two-hop rows (k, j, i) = (jp, i, j) in one-hop order.
+        two_hop, sbf_two = _triple_nodes(feats), feats.sbf_two
+        rows = graphmod.one_hop_rows(feats)
         _write_triple_csv(base + ".sbf_two.csv", ["k", "j", "i"], two_hop, sbf_two)
-        _write_triple_csv(
-            base + ".sbf_one.csv", ["jp", "i", "j"], one_hop, sbf_two[feats.one_hop_rows]
-        )
+        _write_triple_csv(base + ".sbf_one.csv", ["jp", "i", "j"], two_hop[rows], sbf_two[rows])
         print(
             f"{m.key or stem}: N={feats.n_nodes} El={feats.local_src.size} "
-            f"Eg={feats.global_src.size} T2={feats.two_hop_edge.size} "
-            f"T1={feats.one_hop_edge.size}"
+            f"Eg={feats.global_src.size} T2={feats.two_hop_edge.size} T1={rows.size}"
         )
     return 0
 
 
 def _triple_nodes(feats):
-    """Atom rows of the angle triples, read off their local edge ids.
-
-    Two-hop (k, j, i) sits on edges (k -> j) and (j -> i), one-hop
-    (jp, i, j) on (jp -> i) and (j -> i): the rows of
-    ``graph.enumerate_angle_triples``, in its order.
-    """
+    """Atom rows (k, j, i) of the angle triples, read off their local edge
+    ids (k -> j) and (j -> i): the rows of ``graph.enumerate_angle_triples``,
+    in its order."""
     src, dst = feats.local_src, feats.local_dst
     e, t = feats.two_hop_edge, feats.two_hop_target
-    two_hop = np.stack([src[e], dst[e], dst[t]], axis=1)
-    e, t = feats.one_hop_edge, feats.one_hop_target
-    one_hop = np.stack([src[e], dst[e], src[t]], axis=1)
-    return two_hop, one_hop
+    return np.stack([src[e], dst[e], dst[t]], axis=1)
 
 
 def _write_edge_csv(path, src, dst, mat, prefix):
@@ -576,7 +568,7 @@ def run_bench(n: int = 512, seed: int = 0, repeats: int = 2):
             g = graphmod.MultiplexGraph(n, edges, np.empty((0, 2), dtype=np.int64))
             triples = graphmod.enumerate_angle_triples(g)
             dt = time.perf_counter() - t0
-            msgs = int(triples.two_hop.shape[0] + triples.one_hop.shape[0])
+            msgs = 2 * int(triples.two_hop.shape[0])  # both angle steps, one per triple
             k_mean = edges.shape[0] / n
             rows.append(("local", n, c, k_mean, msgs, dt))
             if msgs:

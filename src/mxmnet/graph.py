@@ -23,6 +23,7 @@ __all__ = [
     "neighbor_search",
     "build_multiplex",
     "enumerate_angle_triples",
+    "one_hop_rows",
     "count_angles",
     "count_messages",
     "dump_graph",
@@ -196,27 +197,28 @@ class AngleTriples:
     """Angle index lists over the local layer.
 
     two_hop rows (k, j, i): k in N(j) \\ {i} for each directed edge (j, i);
-    the angle sits at j between rays j->k and j->i.
-    one_hop rows (jp, i, j): jp in N(i) \\ {j} for each directed edge (j, i);
-    the angle sits at i between rays i->jp and i->j.
-
-    Both list the same triples: one-hop row (jp -> i, j -> i) is two-hop
-    row (jp -> i, i -> j), so ``one_hop`` is ``two_hop[one_hop_rows]``,
-    gathered on each read.
+    the angle sits at j between rays j->k and j->i.  They are the one-hop
+    triples too: one-hop row (jp, i, j), jp in N(i) \\ {j}, with its angle
+    at i, is two-hop row (jp -> i, i -> j), whose reverse target is the
+    one-hop target (j -> i).  ``one_hop`` lists them in one-hop order.
     """
 
     two_hop: np.ndarray  # (t2, 3)
-    # Row e of each *_edge array points into the directed local edge list.
+    # Row e of each array below points into the directed local edge list.
     two_hop_edge: np.ndarray  # edge id of (k -> j)
     two_hop_target: np.ndarray  # edge id of (j -> i)
-    one_hop_edge: np.ndarray  # edge id of (jp -> i)
-    one_hop_target: np.ndarray  # edge id of (j -> i), ascending
-    one_hop_rows: np.ndarray  # two-hop row of each one-hop row
+    reverse_target: np.ndarray  # edge id of (i -> j)
 
     @property
     def one_hop(self) -> np.ndarray:
-        """(t1, 3) rows (jp, i, j)."""
-        return self.two_hop[self.one_hop_rows]
+        """(t1, 3) rows (jp, i, j), in the order of :func:`one_hop_rows`."""
+        return self.two_hop[one_hop_rows(self)]
+
+
+def one_hop_rows(triples) -> np.ndarray:
+    """Rows of ``triples`` (an :class:`AngleTriples` or features) in one-hop
+    order: targets (j -> i) in edge order, then jp ascending."""
+    return np.argsort(triples.reverse_target, kind="stable")
 
 
 def _edges_into(ptr: np.ndarray, nodes: np.ndarray):
@@ -234,14 +236,12 @@ def _edges_into(ptr: np.ndarray, nodes: np.ndarray):
 
 
 def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
-    """List every two-hop and one-hop angle triple of the local layer.
+    """List every angle triple of the local layer, as two-hop rows.
 
-    Two-hop triples are emitted in local edge order with neighbors
-    ascending.  Relies on the edges being sorted by (i, j), as
-    :class:`MultiplexGraph` checks: the edges into node v are then
-    rows ptr[v]:ptr[v + 1], sources ascending.  The one-hop family is the
-    two-hop family stably sorted by the reverse of each row's target edge:
-    targets in edge order, and for each the edges (jp -> i), jp ascending.
+    Triples are emitted in local edge order with neighbors ascending.
+    Relies on the edges being sorted by (i, j), as :class:`MultiplexGraph`
+    checks: the edges into node v are then rows ptr[v]:ptr[v + 1], sources
+    ascending.
     """
     edges = np.asarray(g.local_edges, dtype=np.int64)
     src, dst = edges[:, 0], edges[:, 1]
@@ -251,15 +251,11 @@ def enumerate_angle_triples(g: MultiplexGraph) -> AngleTriples:
     keep = src[t2e] != dst[t2t]
     t2t, t2e = t2t[keep], t2e[keep]
     two_hop = np.stack([src[t2e], src[t2t], dst[t2t]], axis=1)
-    t1t = g.local_reverse[t2t]
-    order = np.argsort(t1t, kind="stable")
     return AngleTriples(
         two_hop=two_hop,
         two_hop_edge=t2e,
         two_hop_target=t2t,
-        one_hop_edge=t2e[order],
-        one_hop_target=t1t[order],
-        one_hop_rows=order,
+        reverse_target=g.local_reverse[t2t],
     )
 
 
@@ -322,8 +318,9 @@ def count_messages(g: MultiplexGraph, triples: AngleTriples | None = None) -> Me
     """Closed-form message tallies for one block on this graph.
 
     ``triples`` may be the graph's :class:`AngleTriples` or anything else
-    with their ``two_hop_edge`` and ``one_hop_edge`` rows, such as the
-    molecule's ``basis.GeometricFeatures``; without it they are enumerated.
+    with their ``two_hop_edge`` rows, such as the molecule's
+    ``basis.GeometricFeatures``; without it they are enumerated.  Both
+    angle steps send one message per triple.
     """
     if triples is None:
         triples = enumerate_angle_triples(g)
@@ -332,7 +329,7 @@ def count_messages(g: MultiplexGraph, triples: AngleTriples | None = None) -> Me
     return MessageCounts(
         global_mp=2 * e_g,
         local_step1=int(triples.two_hop_edge.shape[0]) + e_l,
-        local_step2=int(triples.one_hop_edge.shape[0]) + e_l,
+        local_step2=int(triples.two_hop_edge.shape[0]) + e_l,
         local_step3=e_l,
         cross_layer=2 * g.n_nodes,
     )

@@ -8,7 +8,7 @@ One block (repeated ``n_layers`` times) runs, in the default order:
    layer (a row-wise two-layer MLP whose output replaces the destination
    embeddings);
 3. local-layer message passing: a three-step scheme that folds in two-hop
-   angles, then one-hop angles, then aggregates per node;
+   angles, then one-hop angles (the same triples), then aggregates per node;
 4. an output head reading the local state into one scalar per node;
 5. the reverse cross-layer map back to the global layer.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -67,6 +68,15 @@ _CKPT_MAGIC = "MXMCKPT"
 _CKPT_VERSION = 1
 
 
+def _integer(cfg, name: str) -> int:
+    """Field ``name`` of ``cfg``, which must be a Python or numpy integer."""
+    value = getattr(cfg, name)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class ModelConfig:
     """Architecture and graph-construction settings.
@@ -90,7 +100,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("hidden_dim", "n_layers", "n_residuals"):
-            if int(getattr(self, name)) < 1:
+            if _integer(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.local_rule not in ("bonds", "cutoff"):
             raise ValueError(f"unknown local rule {self.local_rule!r}")
@@ -342,46 +352,48 @@ def global_mp(h, feats_g, params, prefix, n_res, tally=None):
     return _global_pass(h, rbf, src, dst, n, params, f"{prefix}/mp2", tally)
 
 
+def _angle_step(mlp, bases, feats, target, params, prefix, names):
+    # One angle step of local_mp, with the (part, edge gate, angle gate,
+    # plain) parameters ``names``; ``mlp(name)`` is an MLP's pre-activation
+    # per edge.  Triple t sends the part message of edge two_hop_edge[t],
+    # gated by the edge and angle embeddings, into edge target[t], on top
+    # of its plain message.  Returns the result and the messages sent.
+    rbf, sbf = bases
+    part, edge_w, gate, plain = (f"{prefix}/{name}" for name in names)
+    part = swish_gate(mlp(part), rbf, params[edge_w])
+    tri = mul(gather(part, feats.two_hop_edge), swish(_mlp2(sbf, params, gate)))
+    edge_msg = swish(mlp(plain))
+    e_l = int(edge_msg.data.shape[0])
+    return add(edge_msg, segment_sum(tri, target, e_l)), int(tri.data.shape[0]) + e_l
+
+
 def local_mp(h, bases, feats, params, prefix, n_res, tally=None):
     """Three-step local update folding in both angle families.
 
-    ``bases`` is the (rbf_local, sbf_two, sbf_one) tuple of tensors that
-    ``forward`` evaluates once per call; ``feats`` gives the index arrays.
-    Step 1 sends, for every two-hop triple (k, j, i), the edge message of
-    (k -> j) gated by the angle embedding at j, and adds the plain edge
-    message of (j -> i).  Step 2 repeats the pattern with one-hop triples
-    (j', i, j) gating projected step-1 messages.  Step 3 gates once more
-    with the edge embedding and aggregates into the receiving nodes; the
-    result passes through the residual stack with no skip around it.
+    ``bases`` is the (rbf_local, sbf_two) pair of tensors that ``forward``
+    evaluates once per call; ``feats`` gives the index arrays.  Step 1
+    sends, for every two-hop triple (k, j, i), the edge message of (k -> j)
+    gated by the angle embedding at j, and adds the plain edge message of
+    (j -> i).  Step 2 repeats the pattern with one-hop triples (j', i, j)
+    gating projected step-1 messages: each is two-hop triple (j' -> i,
+    i -> j), so it runs on the same rows and sends into each reverse
+    target.  Step 3 gates once more with the edge embedding and aggregates
+    into the receiving nodes; the result passes through the residual stack
+    with no skip around it.
     """
-    rbf, sbf2, sbf1 = bases
-    src, dst, n = feats.local_src, feats.local_dst, feats.n_nodes
-    e_l = int(src.shape[0])
-
-    edge_part = swish_gate(
-        _edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp_kj"),
-        rbf,
-        params[f"{prefix}/edge_w1"],
+    rbf, src, dst, n = bases[0], feats.local_src, feats.local_dst, feats.n_nodes
+    m1, sent1 = _angle_step(
+        lambda name: _edge_mlp2(h, rbf, src, dst, params, name), bases, feats,
+        feats.two_hop_target, params, prefix, ("mlp_kj", "edge_w1", "gate1", "mlp_ji"),
     )
-    tri_gate = swish(_mlp2(sbf2, params, f"{prefix}/gate1"))
-    tri_msg = mul(gather(edge_part, feats.two_hop_edge), tri_gate)
-    edge_msg = swish(_edge_mlp2(h, rbf, src, dst, params, f"{prefix}/mlp_ji"))
-    if tally is not None:
-        tally.local_step1 += int(tri_msg.data.shape[0]) + int(edge_msg.data.shape[0])
-    m1 = add(edge_msg, segment_sum(tri_msg, feats.two_hop_target, e_l))
-
-    part2 = swish_gate(_mlp2(m1, params, f"{prefix}/mlp_m"), rbf, params[f"{prefix}/edge_w2"])
-    tri2 = mul(
-        gather(part2, feats.one_hop_edge),
-        swish(_mlp2(sbf1, params, f"{prefix}/gate2")),
+    m2, sent2 = _angle_step(
+        lambda name: _mlp2(m1, params, name), bases, feats,
+        feats.reverse_target, params, prefix, ("mlp_m", "edge_w2", "gate2", "mlp_m2"),
     )
-    m2_edge = swish(_mlp2(m1, params, f"{prefix}/mlp_m2"))
-    if tally is not None:
-        tally.local_step2 += int(tri2.data.shape[0]) + int(m2_edge.data.shape[0])
-    m2 = add(m2_edge, segment_sum(tri2, feats.one_hop_target, e_l))
-
     final = mul(m2, matmul(rbf, params[f"{prefix}/edge_w3"]))
     if tally is not None:
+        tally.local_step1 += sent1
+        tally.local_step2 += sent2
         tally.local_step3 += int(final.data.shape[0])
     agg = segment_sum(final, dst, n)
     return residual_update(agg, params, f"{prefix}/fu", n_res)
@@ -441,8 +453,7 @@ def forward(
         raise ValueError(f"atomic number {bad} outside the embedding range")
 
     feats_g = (Tensor(feats.rbf_global), feats.global_src, feats.global_dst, feats.n_nodes)
-    sbf_two = feats.sbf_two
-    bases_l = (Tensor(feats.rbf_local), Tensor(sbf_two), Tensor(sbf_two[feats.one_hop_rows]))
+    bases_l = (Tensor(feats.rbf_local), Tensor(feats.sbf_two))
 
     h_g = gather(params["embed/table"], z - 1)
     h_l = None

@@ -42,6 +42,7 @@ from .graph import count_messages
 from .model import (
     ModelConfig,
     ParamStore,
+    _integer,
     _param_layout,
     forward,
     init_params,
@@ -98,11 +99,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in ("mae", "mse"):
             raise ValueError(f"loss must be 'mae' or 'mse', got {self.loss!r}")
-        if self.epochs < 0:
+        if _integer(self, "epochs") < 0:
             raise ValueError("epochs must be non-negative")
-        if self.batch_group < 1:
+        if _integer(self, "batch_group") < 1:
             raise ValueError("batch_group must be at least 1")
-        if self.patience < 1:
+        _integer(self, "seed")
+        if _integer(self, "patience") < 1:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
         if not 0.0 < self.base_lr < math.inf:
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")

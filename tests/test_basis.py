@@ -23,7 +23,7 @@ from mxmnet.basis import (
     zonal_harmonic,
 )
 from mxmnet.data import Molecule
-from mxmnet.graph import build_multiplex, enumerate_angle_triples
+from mxmnet.graph import build_multiplex, enumerate_angle_triples, one_hop_rows
 from mxmnet.model import ModelConfig, prepare_inputs
 
 mpmath.mp.dps = 50
@@ -342,7 +342,7 @@ def test_features_evaluate_their_bases_at_their_own_cutoffs():
             "rbf_local": radial_basis(d_local, local),
             "rbf_global": radial_basis(d_global, glob),
             "sbf_two": sbf_two,
-            "sbf_one": sbf_two[tri.one_hop_rows],
+            "sbf_one": sbf_two[one_hop_rows(tri)],
         }
         for name, arr in want.items():
             got = getattr(f, name)
@@ -364,7 +364,8 @@ def test_featurize_single_atom_is_empty():
 def test_one_hop_rows_are_two_hop_rows_bit_for_bit():
     # One-hop triple (jp -> i, j -> i) lists the same angle as two-hop
     # triple (jp -> i, i -> j): at i between jp and j, radial part on
-    # jp -> i.  The row map is rebuilt here by dict lookup.
+    # jp -> i.  The one-hop family is enumerated here by an edge loop and
+    # mapped to two-hop rows by dict lookup.
     rng = np.random.default_rng(53)
     mols = fixtures.fixture_set() + [fixtures.dihydrogen(), Molecule([6], [[0.0, 0.0, 0.0]])]
     mols += [fixtures.random_molecule(rng) for _ in range(12)]
@@ -377,16 +378,21 @@ def test_one_hop_rows_are_two_hop_rows_bit_for_bit():
             edge_id = {e: k for k, e in enumerate(edges)}
             pairs = zip(f.two_hop_edge.tolist(), f.two_hop_target.tolist())
             two_hop_row = {pair: row for row, pair in enumerate(pairs)}
-            perm = []
-            for e, t in zip(f.one_hop_edge.tolist(), f.one_hop_target.tolist()):
-                j, i = edges[t]
-                perm.append(two_hop_row[(e, edge_id[(i, j)])])
+            perm, target = [], []
+            for t, (j, i) in enumerate(edges):
+                for jp in sorted(src for src, dst in edges if dst == i and src != j):
+                    perm.append(two_hop_row[(edge_id[(jp, i)], edge_id[(i, j)])])
+                    target.append(t)
             assert sorted(perm) == list(range(len(two_hop_row)))
             perm = np.array(perm, dtype=np.int64)
             t = enumerate_angle_triples(g)
-            assert np.array_equal(t.one_hop_rows, perm)
-            assert np.array_equal(t.one_hop, t.two_hop[t.one_hop_rows])
-            assert np.all(np.diff(t.one_hop_target) >= 0)
+            want = [edge_id[(i, j)] for j, i in g.local_edges[t.two_hop_target].tolist()]
+            assert np.array_equal(t.reverse_target, want)
+            assert np.array_equal(f.reverse_target, t.reverse_target)
+            assert np.array_equal(one_hop_rows(t), perm)
+            assert np.array_equal(one_hop_rows(f), perm)
+            assert np.array_equal(t.one_hop, t.two_hop[perm])
+            assert np.array_equal(t.reverse_target[perm], target)  # the one-hop targets
             assert f.sbf_one.shape == (perm.size, N_SHBF * N_SRBF)
             assert f.sbf_one.tobytes() == f.sbf_two[perm].tobytes(), (rule, m.key)
             mapped += perm.size
@@ -423,9 +429,12 @@ def test_featurize_matches_per_triple_reference():
                 tri = enumerate_angle_triples(g)
                 e = g.local_edges
                 d = np.linalg.norm(m.coords[e[:, 0]] - m.coords[e[:, 1]], axis=1)
+                # The radial part of one-hop row (jp, i, j) sits on edge (jp -> i).
+                edge_id = {(j, i): k for k, (j, i) in enumerate(e.tolist())}
+                one_hop_edge = [edge_id[(jp, i)] for jp, i, _ in tri.one_hop.tolist()]
                 for t, edge, got in (
                     (tri.two_hop, tri.two_hop_edge, f.sbf_two),
-                    (tri.one_hop, tri.one_hop_edge, f.sbf_one),
+                    (tri.one_hop, np.array(one_hop_edge, dtype=np.int64), f.sbf_one),
                 ):
                     ang = angle_between(m.coords[t[:, 1]], m.coords[t[:, 0]], m.coords[t[:, 2]])
                     want = _per_triple_sbf(d[edge], ang, cfg.local_cutoff)
@@ -433,5 +442,5 @@ def test_featurize_matches_per_triple_reference():
                     assert got.tobytes() == want.tobytes(), (rule, excludes, m.key)
                     seen_triples += t.shape[0]
                 assert np.array_equal(f.two_hop_edge, tri.two_hop_edge)
-                assert np.array_equal(f.one_hop_edge, tri.one_hop_edge)
+                assert np.array_equal(f.reverse_target, tri.reverse_target)
     assert seen_triples > 1000

@@ -24,7 +24,7 @@ from mxmnet.data import (
     split_dataset,
     target_stats,
 )
-from mxmnet.graph import count_angles, enumerate_angle_triples, neighbor_search
+from mxmnet.graph import count_angles, enumerate_angle_triples, neighbor_search, one_hop_rows
 from mxmnet.model import (
     ModelConfig,
     forward,
@@ -187,7 +187,8 @@ def test_featurize_reruns_byte_identical(tmp_path):
 
 def test_featurize_triple_columns_are_the_enumerated_triples():
     # The CSV node columns come from the features' edge ids; they must be
-    # the rows graph.enumerate_angle_triples lists, in its order.
+    # the rows graph.enumerate_angle_triples lists, in its order.  The
+    # one-hop table lists the same rows in one-hop order.
     rng = np.random.default_rng(61)
     mols = fixtures.fixture_set() + [fixtures.random_molecule(rng) for _ in range(12)]
     rows = 0
@@ -196,9 +197,9 @@ def test_featurize_triple_columns_are_the_enumerated_triples():
         for m in mols:
             g, feats = prepare_inputs(m, cfg)
             t = enumerate_angle_triples(g)
-            two_hop, one_hop = cli._triple_nodes(feats)
+            two_hop = cli._triple_nodes(feats)
             assert np.array_equal(two_hop, t.two_hop), (rule, m.key)
-            assert np.array_equal(one_hop, t.one_hop), (rule, m.key)
+            assert np.array_equal(two_hop[one_hop_rows(feats)], t.one_hop), (rule, m.key)
             rows += t.two_hop.shape[0]
     assert rows > 1000
 

@@ -19,6 +19,7 @@ from mxmnet.graph import (
     dump_graph,
     enumerate_angle_triples,
     neighbor_search,
+    one_hop_rows,
 )
 
 
@@ -367,12 +368,18 @@ def test_triple_edge_pointers_are_consistent():
     for row, e in zip(t.two_hop, t.two_hop_target):
         k, j, i = row
         assert tuple(g.local_edges[e]) == (j, i)
-    for row, e in zip(t.one_hop, t.one_hop_edge):
+    for row, e in zip(t.two_hop, t.reverse_target):
+        k, j, i = row
+        assert tuple(g.local_edges[e]) == (i, j)
+    # In one-hop order, the same arrays point at (jp -> i) and (j -> i).
+    rows = one_hop_rows(t)
+    for row, e in zip(t.one_hop, t.two_hop_edge[rows]):
         jp, i, j = row
         assert tuple(g.local_edges[e]) == (jp, i)
-    for row, e in zip(t.one_hop, t.one_hop_target):
+    for row, e in zip(t.one_hop, t.reverse_target[rows]):
         jp, i, j = row
         assert tuple(g.local_edges[e]) == (j, i)
+    assert np.all(np.diff(t.reverse_target[rows]) >= 0)
 
 
 def test_two_hop_size_identity():
@@ -396,7 +403,7 @@ def _triples_by_edge_loop(g):
         nbrs[int(i)].append(int(j))
     nbrs = [sorted(x) for x in nbrs]
     edge_id = {(int(j), int(i)): e for e, (j, i) in enumerate(edges)}
-    t2, t2e, t2t = [], [], []
+    t2, t2e, t2t, t2r = [], [], [], []
     t1, t1e, t1t = [], [], []
     for e, (j, i) in enumerate(edges):
         j, i = int(j), int(i)
@@ -405,6 +412,7 @@ def _triples_by_edge_loop(g):
                 t2.append((k, j, i))
                 t2e.append(edge_id[(k, j)])
                 t2t.append(e)
+                t2r.append(edge_id[(i, j)])
         for jp in nbrs[i]:
             if jp != j:
                 t1.append((jp, i, j))
@@ -418,6 +426,7 @@ def _triples_by_edge_loop(g):
         "one_hop": np.array(t1, dtype=np.int64).reshape(-1, 3),
         "two_hop_edge": np.array(t2e, dtype=np.int64),
         "two_hop_target": np.array(t2t, dtype=np.int64),
+        "reverse_target": np.array(t2r, dtype=np.int64),
         "one_hop_edge": np.array(t1e, dtype=np.int64),
         "one_hop_target": np.array(t1t, dtype=np.int64),
         "one_hop_rows": np.array(t1r, dtype=np.int64),
@@ -429,8 +438,15 @@ def test_triples_match_edge_loop():
         for rule in ("bonds", "cutoff"):
             g = build_multiplex(m, local_rule=rule, local_cutoff=2.0, global_cutoff=5.0)
             t = enumerate_angle_triples(g)
+            rows = one_hop_rows(t)
+            # The one-hop family is the two-hop rows in one-hop order.
+            derived = {
+                "one_hop_edge": t.two_hop_edge[rows],
+                "one_hop_target": t.reverse_target[rows],
+                "one_hop_rows": rows,
+            }
             for name, want in _triples_by_edge_loop(g).items():
-                got = getattr(t, name)
+                got = derived[name] if name in derived else getattr(t, name)
                 assert got.dtype == want.dtype, name
                 assert got.shape == want.shape, name
                 assert np.array_equal(got, want), name

@@ -12,7 +12,7 @@ from scipy import stats
 from mxmnet import basis, fixtures
 from mxmnet.autodiff import Tape, Tensor, backward
 from mxmnet.data import Molecule
-from mxmnet.graph import count_messages
+from mxmnet.graph import build_multiplex, count_messages
 from mxmnet.model import (
     MessageTally,
     ModelConfig,
@@ -60,6 +60,11 @@ def test_config_validation():
         ModelConfig(hidden_dim=0)
     with pytest.raises(ValueError):
         ModelConfig(n_layers=0)
+    for name in ("hidden_dim", "n_layers", "n_residuals"):
+        for value in (2.5, 1.0, "3"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                ModelConfig(**{name: value})
+        assert getattr(ModelConfig(**{name: np.int64(3)}), name) == 3
     with pytest.raises(TypeError):
         ModelConfig(n_rbf=8)  # basis sizes are the basis module's constants
     with pytest.raises(ValueError):
@@ -319,7 +324,7 @@ def test_local_mp_without_triples_matches_numpy_oracle():
     assert feats.sbf_two.shape[0] == 0
 
     h = np.random.default_rng(16).standard_normal((2, 8))
-    bases = (Tensor(feats.rbf_local), Tensor(feats.sbf_two), Tensor(feats.sbf_one))
+    bases = (Tensor(feats.rbf_local), Tensor(feats.sbf_two))
     got = local_mp(Tensor(h.copy()), bases, feats, params, "layer0/local", 1).data
 
     rbf = feats.rbf_local
@@ -334,6 +339,79 @@ def test_local_mp_without_triples_matches_numpy_oracle():
     s = z * _sigmoid(z)
     want = agg + s @ params[f"{pre}/w2"].data + params[f"{pre}/b2"].data
     assert rel_gap(got, want) < 1e-12
+
+
+def _benzene():
+    ring = np.arange(6) * np.pi / 3
+    unit = np.stack([np.cos(ring), np.sin(ring), np.zeros(6)], axis=1)
+    return Molecule([6] * 6 + [1] * 6, np.concatenate([1.39 * unit, 2.48 * unit]))
+
+
+def _branched():
+    # A zigzag chain of four carbons with a methyl branch on the second.
+    coords = [[0.0, 0.0, 0.0], [1.25, 0.85, 0.0], [2.5, 0.0, 0.0], [3.75, 0.85, 0.0]]
+    return Molecule([6, 6, 6, 6, 6], coords + [[1.25, 0.85, 1.5]])
+
+
+def _np_local_mp_by_loops(m, h, params, cfg):
+    # local_mp as the paper states it, one Python loop per angle family:
+    # step 1 sums over k in N(j) \ {i} into edge (j -> i) with the angle at
+    # j, step 2 over j' in N(i) \ {j} into (j -> i) with the angle at i.
+    # Each angle row is evaluated on its own from the coordinates.
+    g = build_multiplex(m, local_rule=cfg.local_rule, local_cutoff=cfg.local_cutoff)
+    edges = [tuple(e) for e in g.local_edges.tolist()]
+    edge_id = {e: k for k, e in enumerate(edges)}
+    nbrs = [sorted(j for j, i in edges if i == v) for v in range(m.n_atoms)]
+    c, x, p = cfg.local_cutoff, m.coords, params
+
+    def sbf(a, center, b):
+        # the angle at ``center`` between a and b, radial part on a -> center
+        d = np.linalg.norm(x[a] - x[center])
+        alpha = basis.angle_between(x[center], x[a], x[b])
+        return basis.spherical_basis([d], alpha, c)[0]
+
+    def gate(rows, prefix):
+        return _np_mlp2(np.array(rows).reshape(-1, 42), p, prefix)
+
+    src, dst = g.local_edges[:, 0], g.local_edges[:, 1]
+    rbf = basis.radial_basis(np.linalg.norm(x[src] - x[dst], axis=1), c)
+    pair = np.concatenate([h[src], h[dst], rbf], axis=1)
+    part1 = _np_mlp2(pair, p, "layer0/local/mlp_kj") * (rbf @ p["layer0/local/edge_w1"].data)
+    m1 = _np_mlp2(pair, p, "layer0/local/mlp_ji")
+    for e, (j, i) in enumerate(edges):
+        ks = [k for k in nbrs[j] if k != i]
+        g1 = gate([sbf(k, j, i) for k in ks], "layer0/local/gate1")
+        for k, row in zip(ks, g1):
+            m1[e] += part1[edge_id[(k, j)]] * row
+    part2 = _np_mlp2(m1, p, "layer0/local/mlp_m") * (rbf @ p["layer0/local/edge_w2"].data)
+    m2 = _np_mlp2(m1, p, "layer0/local/mlp_m2")
+    for e, (j, i) in enumerate(edges):
+        jps = [jp for jp in nbrs[i] if jp != j]
+        g2 = gate([sbf(jp, i, j) for jp in jps], "layer0/local/gate2")
+        for jp, row in zip(jps, g2):
+            m2[e] += part2[edge_id[(jp, i)]] * row
+    final = m2 * (rbf @ p["layer0/local/edge_w3"].data)
+    agg = np.zeros((m.n_atoms, h.shape[1]))
+    np.add.at(agg, dst, final)
+    pre = "layer0/local/fu/res0"
+    z = agg @ p[f"{pre}/w1"].data + p[f"{pre}/b1"].data
+    return agg + (z * _sigmoid(z)) @ p[f"{pre}/w2"].data + p[f"{pre}/b2"].data
+
+
+def test_local_mp_with_triples_matches_one_hop_loop_oracle():
+    # Step 2 runs on the two-hop rows and sends into each target's reverse;
+    # the oracle enumerates the one-hop family itself.
+    for rule in ("bonds", "cutoff"):
+        cfg = tiny_cfg(local_rule=rule)
+        params = init_params(cfg, seed=32)
+        for m in (_benzene(), _branched()):
+            _, feats = prepare_inputs(m, cfg)
+            assert feats.sbf_two.shape[0] > 0
+            h = np.random.default_rng(33).standard_normal((m.n_atoms, 8))
+            bases = (Tensor(feats.rbf_local), Tensor(feats.sbf_two))
+            got = local_mp(Tensor(h.copy()), bases, feats, params, "layer0/local", 1).data
+            want = _np_local_mp_by_loops(m, h, params, cfg)
+            assert rel_gap(got, want) < 1e-12, (rule, m.n_atoms)
 
 
 def test_forward_evaluates_each_basis_once_per_call(monkeypatch):
@@ -372,7 +450,9 @@ def test_triangle_triples_never_gate_with_the_receiver():
     for e, t in zip(feats.two_hop_edge, feats.two_hop_target):
         assert src[e] != dst[t]  # k never equals i
         assert dst[e] == src[t]  # shared middle node
-    for e, t in zip(feats.one_hop_edge, feats.one_hop_target):
+    # Read as one-hop triple (j', i, j), two-hop triple (k, j, i) sends
+    # along (k -> j) = (j' -> i) into the reverse target (i -> j) = (j -> i).
+    for e, t in zip(feats.two_hop_edge, feats.reverse_target):
         assert src[e] != src[t]  # j' never equals j
         assert dst[e] == dst[t]  # shared receiver
 

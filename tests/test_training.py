@@ -37,6 +37,11 @@ def test_train_config_validation():
         TrainConfig(target="u0", base_lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(target="u0", ema_decay=1.0)
+    for name in ("epochs", "batch_group", "seed", "patience"):
+        for value in (2.5, 1.0, "3"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                TrainConfig(target="u0", **{name: value})
+        assert getattr(TrainConfig(target="u0", **{name: np.int64(3)}), name) == 3
     for patience in (0, -3):
         with pytest.raises(ValueError, match=f"patience must be at least 1, got {patience}"):
             TrainConfig(target="u0", patience=patience)
