@@ -275,12 +275,11 @@ def cmd_train(args) -> int:
     mcfg = _model_config(cfg)
     tcfg = _train_config(cfg)
     out = _out_dir(cfg)
+    ckpt = os.path.join(out, "model.ckpt")
     t0 = time.perf_counter()
     with _fp_checked():
-        result = train(ds, mcfg, tcfg)
+        result = train(ds, mcfg, tcfg, ckpt)
     wall = time.perf_counter() - t0
-    ckpt = os.path.join(out, "model.ckpt")
-    save_checkpoint(result.params, ckpt)
     result.report.to_csv(os.path.join(out, "report.csv"))
     stats = target_stats(ds, tcfg.target, tcfg.atomrefs)
     usage = resource.getrusage(resource.RUSAGE_SELF)

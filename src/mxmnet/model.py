@@ -27,6 +27,7 @@ import contextlib
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -498,7 +499,7 @@ def save_checkpoint(store: ParamStore, path):
                 dims = " ".join(str(d) for d in t.data.shape)
                 head = f"{name} {t.data.ndim}" + (f" {dims}" if dims else "") + "\n"
                 fh.write(head.encode())
-                fh.write(np.ascontiguousarray(t.data).astype("<f8").tobytes())
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -508,15 +509,17 @@ def save_checkpoint(store: ParamStore, path):
         raise
 
 
-def load_checkpoint(path) -> ParamStore:
+def load_checkpoint(path, out: np.ndarray | None = None) -> ParamStore:
     """Read a checkpoint back; byte-exact inverse of :func:`save_checkpoint`.
 
-    Raises ``ValueError`` naming the file for a malformed or truncated
-    file, or a header line that is not UTF-8, and the parameter or record
-    too where one is at fault (a negative dimension, fields after the
-    dimensions, more data than bytes left, a repeated name, a non-finite
-    value), or for bytes after the last record.  Every record is checked
-    before any data is read.
+    The store is built over ``out`` when given (see ``ParamStore``), and
+    each record is read straight into its parameter.  Raises
+    ``ValueError`` naming the file for a malformed or truncated file, a
+    header line that is not UTF-8, or an ``out`` that does not fit it, and
+    the parameter or record too where one is at fault (a negative
+    dimension, fields after the dimensions, more data than bytes left, a
+    repeated name, a non-finite value), or for bytes after the last
+    record.  Every record is checked before any data is read.
     """
 
     def integer(raw: str, what: str) -> int:
@@ -562,12 +565,15 @@ def load_checkpoint(path) -> ParamStore:
         if fh.tell() != size:
             raise ValueError(f"{path}: unexpected bytes after the last record")
         try:
-            store = ParamStore([(name, shape) for name, shape, _ in layout])
+            store = ParamStore([(name, shape) for name, shape, _ in layout], out)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-        for (_, shape, start), (_, t) in zip(layout, store.items()):
+        for (name, _, start), (_, t) in zip(layout, store.items()):
             fh.seek(start)
-            t.data[...] = np.frombuffer(fh.read(t.data.nbytes), "<f8").reshape(shape)
+            if fh.readinto(t.data) != t.data.nbytes:
+                raise ValueError(f"{path}: truncated data of {name!r}")
+            if sys.byteorder == "big":
+                t.data.byteswap(inplace=True)
     bad = store.first_non_finite(store.flat)
     if bad is not None:
         raise ValueError(f"{path}: non-finite value in parameter {bad!r}")

@@ -6,15 +6,17 @@ its forward pass, the loss is plain float arithmetic on the prediction,
 and backward is seeded with the loss's slope over the group size, so the
 gradients accumulate to the mean.  Targets are computed once per run.
 Validation always runs on the exponential moving average of the weights;
-the best-validation EMA snapshot is what training returns and checkpoints.
+the best-validation EMA weights are what training returns and checkpoints.
+They wait on disk, in a checkpoint file saved at each improvement, not in
+memory.
 
 Work is split into contiguous shards across a rank group of processes,
 one per usable core, when each gets enough work (see ``_RankGroup``).
 ``train`` forks its ranks once, after featurization.  The ranks share one
 copy of the training state, flat vectors of the parameters, Adam's
-moments, the EMA shadow and the best snapshot; each sums its shard's
-gradients into one shared vector, then updates its even share of the
-scalars.  A standalone ``evaluate`` forks once for its call.
+moments and the EMA shadow; each sums its shard's gradients into one
+shared vector, then updates its even share of the scalars.  A standalone
+``evaluate`` forks once for its call.
 
 Everything is seeded and single-run deterministic: two runs with the same
 dataset, config, seeds and usable core count produce identical reports
@@ -46,7 +48,9 @@ from .model import (
     _param_layout,
     forward,
     init_params,
+    load_checkpoint,
     prepare_inputs,
+    save_checkpoint,
 )
 
 __all__ = [
@@ -334,21 +338,31 @@ def evaluate(
 
 
 def train(
-    ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig
+    ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig, checkpoint
 ) -> TrainResult:
-    """Run the full loop and return the report plus the best EMA weights.
+    """Run the full loop, write the best EMA weights to ``checkpoint`` and
+    return them with the report.
 
     The dataset must be split with a non-empty train subset.  An empty
     validation subset is allowed: validation, early stopping and best-model
     tracking then degrade to keeping the final EMA weights.
+
+    Each validation improvement saves the EMA weights to
+    ``<checkpoint>.best`` (``save_checkpoint``), so no vector holds them
+    while training runs.  At the end they are read back into the parameter
+    vector, which no step reads any more, for the final train-split
+    evaluation, and the file is renamed onto ``checkpoint``.  A run that
+    raises removes ``<checkpoint>.best`` and leaves ``checkpoint`` as it
+    was; a killed run leaves its best weights so far in the ``.best`` file.
 
     When the heaviest possible step holds enough work for several cores
     (``_plan_ranks``), the run forks once, after featurization and after
     the parameters, Adam's moments and the EMA shadow are made in the rank
     group's shared memory: every rank runs this loop over its shard of each
     step, validation and the final evaluation, and updates its own range
-    of the scalars of the shared parameters, moments, shadow and best
-    snapshot (see ``_RankGroup``).  The returned weights view that memory.
+    of the scalars of the shared parameters, moments and shadow (see
+    ``_RankGroup``).  Rank 0 alone writes the files.  The returned weights
+    view that memory.
     """
     if ds.split is None:
         raise ValueError("dataset must be split before training")
@@ -370,23 +384,24 @@ def train(
     costs = _message_costs(train_prep)
     n_scalars = sum(math.prod(shape) for _, shape, _ in _param_layout(model_cfg))
     size = _plan_ranks(sorted(costs)[-group:])
-    ranks = _RankGroup(size, n_scalars, max(n, len(val_mols)), n_state=5)
+    ranks = _RankGroup(size, n_scalars, max(n, len(val_mols)), n_state=4)
     # One copy of the training state, in the group's memory and filled
     # before the fork.  Each rank writes only its own range of it
     # (``mine``), and every ``ranks.run`` starts at a barrier, so no rank
     # reads a range that another is still writing.
-    live, adam_m, adam_v, shadow, kept = ranks.state
+    live, adam_m, adam_v, shadow = ranks.state
     params = init_params(model_cfg, train_cfg.seed, out=live)
     state = AdamState(params, adam_m, adam_v)
     ema = EmaWeights(params, train_cfg.ema_decay, out=shadow)
-    snapshot = params.like(kept)
     rng = np.random.default_rng(train_cfg.seed)
+    best_file = f"{os.fspath(checkpoint)}.best"
 
-    with ranks:
+    # Ranks past the first leave through ``os._exit`` when ``ranks`` closes,
+    # so only rank 0 removes the file a failed run leaves.
+    with _removed_at_exit(best_file), ranks:
         mine = _even_share(n_scalars, ranks.size, ranks.rank)
         params.point_grads(ranks.own_grad)
         report = TrainReport()
-        best: ParamStore | None = None
         best_val = math.inf
         since_best = 0
 
@@ -440,8 +455,11 @@ def train(
             if val_mols:
                 if val_mae < best_val:
                     best_val = val_mae
-                    kept[mine] = shadow[mine]
-                    best = snapshot
+                    # The validation pass ended at a barrier, so every
+                    # rank's range of the shadow is in place, and none
+                    # changes it before the next step's opening barrier.
+                    if ranks.rank == 0:
+                        save_checkpoint(ema.shadow, best_file)
                     report.best_epoch = epoch
                     report.best_val_mae = val_mae
                     since_best = 0
@@ -450,13 +468,32 @@ def train(
                     if since_best >= train_cfg.patience:
                         break
 
-        if best is None:
+        if report.best_epoch >= 0:
+            best = params.like(live)
+            if ranks.rank == 0:
+                load_checkpoint(best_file, out=live)
+        else:
             best = ema.shadow
             if report.epochs:
                 report.best_epoch = report.epochs[-1].epoch
         preds = evaluate(best, train_mols, train_prep, model_cfg, ranks)
         report.final_train_mae = float(np.mean(np.abs(preds - truths)))
+        if ranks.rank == 0:
+            if best is ema.shadow:
+                save_checkpoint(best, checkpoint)
+            else:
+                os.replace(best_file, checkpoint)
         return TrainResult(report=report, params=best)
+
+
+@contextlib.contextmanager
+def _removed_at_exit(path):
+    """Remove ``path``, if it is there, when the block ends."""
+    try:
+        yield
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
 
 
 def _loss(r: float, kind: str) -> tuple[float, float]:

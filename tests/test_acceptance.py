@@ -213,7 +213,7 @@ def test_scaling_separation():
     assert elapsed < 300.0
 
 
-def test_overfit_sanity():
+def test_overfit_sanity(tmp_path):
     # lr 1e-2 with a 100-epoch decay scale drives these 16 molecules to
     # roughly 2.5e-4 of the first-epoch error well inside 300 epochs, in
     # ~30s on one desktop core.  The averaging horizon must fit the run:
@@ -235,7 +235,7 @@ def test_overfit_sanity():
         ema_decay=0.99,
         seed=0,
     )
-    result = train(ds, mcfg, tcfg)
+    result = train(ds, mcfg, tcfg, tmp_path / "model.ckpt")
     elapsed = time.perf_counter() - start
 
     first = result.report.epochs[0].train_loss

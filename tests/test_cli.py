@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from mxmnet import cli, fixtures
+from mxmnet import cli, fixtures, training
 from mxmnet.cli import ConfigError, parse_config, run_bench
 from mxmnet.data import (
     Molecule,
@@ -334,6 +334,33 @@ def test_train_divergence_fails_cleanly(tmp_path, capsys):
     errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
     assert len(errors) == 1 and "non-finite" in errors[0]
     assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_rerun_keeps_the_previous_checkpoint(tmp_path, capsys, monkeypatch):
+    # Six train molecules in one step per epoch: the rerun's first step runs
+    # at learning rate 0, so epoch 0 improves on validation and saves the
+    # .best file, and the second step diverges.
+    manifest = _overfit_manifest(tmp_path)
+    out = tmp_path / "run"
+    cfg = _train_cfg_file(tmp_path, manifest, out, epochs=4, batch_group=6)
+    assert cli.main(["train", "--config", cfg]) == 0
+    blob = (out / "model.ckpt").read_bytes()
+    capsys.readouterr()
+    saves = []
+
+    def recorded(store, path):
+        saves.append(str(path))
+        save_checkpoint(store, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", recorded)
+    assert cli.main(["train", "--config", cfg, "--lr", "1e150"]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.count("\n") == 1 and err.startswith("error: non-finite ")
+    assert saves == [str(out / "model.ckpt.best")]
+    assert (out / "model.ckpt").read_bytes() == blob
+    assert sorted(os.listdir(out)) == ["model.ckpt", "report.csv", "summary.json"]
 
 
 def test_diverging_train_prints_only_its_error_line(tmp_path):

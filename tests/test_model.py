@@ -1,15 +1,18 @@
 """Model wiring: parameter init, block behavior, invariances, checkpoints."""
 
 import collections
+import functools
+import io
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mxmnet import basis, fixtures
+from mxmnet import basis, fixtures, model
 from mxmnet.autodiff import Tape, Tensor, backward
 from mxmnet.data import Molecule
 from mxmnet.graph import build_multiplex, count_messages
@@ -621,11 +624,11 @@ def test_an_interrupted_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch
     calls = []
     real = np.ascontiguousarray
 
-    def fail_midway(a):
+    def fail_midway(a, *args, **kwargs):
         calls.append(1)
         if len(calls) == 3:
             raise OSError("disk full")
-        return real(a)
+        return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "ascontiguousarray", fail_midway)
     with pytest.raises(OSError, match="disk full"):
@@ -639,22 +642,56 @@ def test_an_interrupted_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch
         assert loaded[name].data.tobytes() == t.data.tobytes()
 
 
-def test_checkpoint_rejects_garbage(tmp_path):
+def test_a_checkpoint_loads_into_a_given_vector(tmp_path, monkeypatch):
+    params = init_params(tiny_cfg(n_layers=2), seed=35)
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(params, path)
+    reads = []
+
+    class Counted(io.BufferedReader):
+        def readinto(self, b):
+            reads.append(memoryview(b).nbytes)
+            return super().readinto(b)
+
+    def counted(file, mode):
+        return Counted(io.FileIO(file, mode))
+
+    monkeypatch.setattr(model, "open", counted, raising=False)
+    out = np.full_like(params.flat, np.nan)
+    loaded = load_checkpoint(path, out=out)
+    # One read per record, straight into its parameter.
+    assert reads == [t.data.nbytes for _, t in params.items()]
+    assert loaded.flat is out
+    assert out.tobytes() == load_checkpoint(path).flat.tobytes() == params.flat.tobytes()
+    for name, t in loaded.items():
+        assert np.shares_memory(t.data, out), name
+
+    reads.clear()
+    for bad in (np.zeros(out.size - 1), np.zeros(out.size, dtype=np.float32)):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: need a float64 vector"):
+            load_checkpoint(path, out=bad)
+        assert not bad.any()
+    assert reads == []
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["plain", "into out"])
+def test_checkpoint_rejects_garbage(tmp_path, into):
     cfg = tiny_cfg()
     params = init_params(cfg, seed=32)
     path = tmp_path / "weights.ckpt"
     save_checkpoint(params, path)
+    load = functools.partial(load_checkpoint, out=np.empty_like(params.flat) if into else None)
 
     blob = path.read_bytes()
     bad_magic = tmp_path / "bad_magic.ckpt"
     bad_magic.write_bytes(b"XX" + blob[2:])
     with pytest.raises(ValueError):
-        load_checkpoint(bad_magic)
+        load(bad_magic)
 
     truncated = tmp_path / "short.ckpt"
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError):
-        load_checkpoint(truncated)
+        load(truncated)
 
     # a record line holding only the parameter's name
     head, _, rest = blob.partition(b"\n")
@@ -663,12 +700,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
     short = tmp_path / "short_record.ckpt"
     short.write_bytes(b"\n".join([head, count, record.split()[0], rest]))
     with pytest.raises(ValueError, match="malformed record"):
-        load_checkpoint(short)
+        load(short)
 
     trailing = tmp_path / "trailing.ckpt"
     trailing.write_bytes(blob + b"\0")
     with pytest.raises(ValueError, match="after the last record"):
-        load_checkpoint(trailing)
+        load(trailing)
 
     name = params.names()[-1]
     for bad in (math.nan, math.inf, -math.inf):
@@ -676,4 +713,4 @@ def test_checkpoint_rejects_garbage(tmp_path):
         non_finite = tmp_path / "non_finite.ckpt"
         save_checkpoint(params, non_finite)
         with pytest.raises(ValueError, match=f"non-finite value in parameter '{name}'"):
-            load_checkpoint(non_finite)
+            load(non_finite)

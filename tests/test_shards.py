@@ -140,14 +140,14 @@ def test_sharded_evaluate_is_bit_identical_to_one_shard(shards):
     _no_children_left()
 
 
-def test_sharded_train_matches_one_shard(shards):
+def test_sharded_train_matches_one_shard(tmp_path, shards):
     ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
     # Steps of four and two molecules.
     tcfg = TrainConfig(target="u0", epochs=3, base_lr=5e-3, batch_group=4, seed=1)
-    one = train(ds, TINY, tcfg)
+    one = train(ds, TINY, tcfg, tmp_path / "model.ckpt")
     shards(2)
-    two = train(ds, TINY, tcfg)
-    again = train(ds, TINY, tcfg)
+    two = train(ds, TINY, tcfg, tmp_path / "model.ckpt")
+    again = train(ds, TINY, tcfg, tmp_path / "model.ckpt")
     for name, t in one.params.items():
         assert rel_gap(two.params[name].data, t.data) <= 1e-12, name
         assert again.params[name].data.tobytes() == two.params[name].data.tobytes()
@@ -160,17 +160,17 @@ def test_sharded_train_matches_one_shard(shards):
     _no_children_left()
 
 
-def test_more_ranks_than_cores_sum_every_gradient(shards):
+def test_more_ranks_than_cores_sum_every_gradient(tmp_path, shards):
     # Four ranks on fewer cores, one or two molecules each per step and six
     # steps: a gradient added out of turn, cleared before every rank read
     # it, or read before every rank added to it, or a slice of the shared
     # weights read before its rank updated it, moves the weights.
     ds = fixtures.dataset_from(fixtures.overfit_set(12, seed=7), (0.5, 0.5, 0.0), 0)
     tcfg = TrainConfig(target="u0", epochs=3, base_lr=5e-3, batch_group=4, seed=2)
-    one = train(ds, TINY, tcfg)
+    one = train(ds, TINY, tcfg, tmp_path / "model.ckpt")
     shards(4)
-    four = train(ds, TINY, tcfg)
-    again = train(ds, TINY, tcfg)
+    four = train(ds, TINY, tcfg, tmp_path / "model.ckpt")
+    again = train(ds, TINY, tcfg, tmp_path / "model.ckpt")
     for name, t in one.params.items():
         assert rel_gap(four.params[name].data, t.data) <= 1e-12, name
         assert again.params[name].data.tobytes() == four.params[name].data.tobytes()
@@ -180,26 +180,29 @@ def test_more_ranks_than_cores_sum_every_gradient(shards):
 
 
 def test_a_two_rank_result_outlives_its_group(tmp_path, shards):
-    # With a validation split the weights returned are the best snapshot,
-    # without one the EMA shadow; both live in the group's shared memory.
+    # With a validation split the weights returned are the best EMA weights,
+    # read back into the parameter vector, without one the EMA shadow; both
+    # live in the group's shared memory.
     mols = fixtures.overfit_set(8, seed=7)
     for fractions in ((0.75, 0.25, 0.0), (1.0, 0.0, 0.0)):
         ds = fixtures.dataset_from(mols, fractions, 0)
         tcfg = TrainConfig(target="u0", epochs=2, base_lr=5e-3, batch_group=6, seed=1)
         shards(1)
-        one = train(ds, TINY, tcfg).params
+        one = train(ds, TINY, tcfg, tmp_path / "model.ckpt").params
         shards(2)
-        result = train(ds, TINY, tcfg)
+        result = train(ds, TINY, tcfg, tmp_path / "model.ckpt")
         two = result.params
         _no_children_left()
-        # They are the weights the report's figures were measured on.
-        split = "val" if fractions[1] else "train"
-        mols_used = ds.subset(split)
-        preds = evaluate(two, mols_used, prepare_all(mols_used, TINY), TINY)
-        truths = np.array([m.targets["u0"] for m in mols_used])
-        mae = float(np.mean(np.abs(preds - truths)))
+        # They are the weights the report's figures were measured on, and
+        # the ones train checkpointed.
         report = result.report
-        assert mae == (report.best_val_mae if fractions[1] else report.final_train_mae)
+        for split, figure in (("val", report.best_val_mae), ("train", report.final_train_mae)):
+            mols_used = ds.subset(split)
+            if mols_used:
+                preds = evaluate(two, mols_used, prepare_all(mols_used, TINY), TINY)
+                truths = np.array([m.targets["u0"] for m in mols_used])
+                assert float(np.mean(np.abs(preds - truths))) == figure, split
+        assert load_checkpoint(tmp_path / "model.ckpt").flat.tobytes() == two.flat.tobytes()
         ckpt = tmp_path / "two.ckpt"
         save_checkpoint(two, ckpt)
         back = load_checkpoint(ckpt)
@@ -288,7 +291,7 @@ def test_a_non_finite_gradient_in_rank_1s_slice_fails_as_in_one_rank(
     _no_children_left()
 
 
-def test_a_forced_two_rank_train_forks_once(monkeypatch, shards):
+def test_a_forced_two_rank_train_forks_once(tmp_path, monkeypatch, shards):
     ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
     tcfg = TrainConfig(target="u0", epochs=3, batch_group=3, seed=1)
     forks = []
@@ -300,7 +303,7 @@ def test_a_forced_two_rank_train_forks_once(monkeypatch, shards):
 
     shards(2)
     monkeypatch.setattr(os, "fork", counted)
-    train(ds, TINY, tcfg)
+    train(ds, TINY, tcfg, tmp_path / "model.ckpt")
     # Six steps, three validations and the final evaluation, one fork.
     assert forks == [os.getpid()]
     _no_children_left()
@@ -346,7 +349,7 @@ def test_earliest_failing_shard_wins_with_its_type_and_message(monkeypatch, shar
     _no_children_left()
 
 
-def test_a_dying_child_raises_instead_of_hanging(monkeypatch, shards):
+def test_a_dying_child_raises_instead_of_hanging(tmp_path, monkeypatch, shards):
     ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
     tcfg = TrainConfig(target="u0", epochs=3, batch_group=4, seed=1)
     parent = os.getpid()
@@ -365,7 +368,7 @@ def test_a_dying_child_raises_instead_of_hanging(monkeypatch, shards):
     for calls in (1, 5):
         last[:] = [calls]
         with pytest.raises(ChildProcessError, match="exit status 3"):
-            train(ds, TINY, tcfg)
+            train(ds, TINY, tcfg, tmp_path / "model.ckpt")
         _no_children_left()
 
 

@@ -1,6 +1,7 @@
 """Optimizer arithmetic, schedule shape, loop behavior and metrics."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 
 from mxmnet import fixtures, training
 from mxmnet.data import Dataset, Molecule, split_dataset
-from mxmnet.model import ModelConfig, ParamStore, init_params, prepare_inputs
+from mxmnet.model import (
+    ModelConfig,
+    ParamStore,
+    init_params,
+    load_checkpoint,
+    prepare_inputs,
+    save_checkpoint,
+)
 from mxmnet.training import (
     AdamState,
     EmaWeights,
@@ -333,11 +341,11 @@ def _toy_dataset(n=6, fractions=(1.0, 0.0, 0.0), seed=0):
     return fixtures.dataset_from(fixtures.overfit_set(n, seed=7), fractions, seed)
 
 
-def test_budget_zero_returns_initial_weights():
+def test_budget_zero_returns_initial_weights(tmp_path):
     ds = _toy_dataset()
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
     tcfg = TrainConfig(target="u0", epochs=0, seed=3)
-    result = train(ds, mcfg, tcfg)
+    result = train(ds, mcfg, tcfg, tmp_path / "model.ckpt")
     assert result.report.epochs == []
     assert result.report.best_epoch == -1
     fresh = init_params(mcfg, seed=3)
@@ -346,14 +354,14 @@ def test_budget_zero_returns_initial_weights():
     assert math.isfinite(result.report.final_train_mae)
 
 
-def test_training_reduces_loss_and_is_deterministic():
+def test_training_reduces_loss_and_is_deterministic(tmp_path):
     ds = _toy_dataset(8, fractions=(0.75, 0.25, 0.0))
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
     tcfg = TrainConfig(
         target="u0", epochs=6, base_lr=5e-3, batch_group=3, seed=1, patience=50
     )
-    a = train(ds, mcfg, tcfg)
-    b = train(ds, mcfg, tcfg)
+    a = train(ds, mcfg, tcfg, tmp_path / "model.ckpt")
+    b = train(ds, mcfg, tcfg, tmp_path / "model.ckpt")
 
     assert a.report.epochs[-1].train_loss < a.report.epochs[0].train_loss
     assert len(a.report.epochs) == 6
@@ -377,7 +385,7 @@ def test_training_csv_round_trip(tmp_path):
     ds = _toy_dataset(6, fractions=(0.67, 0.33, 0.0))
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
     tcfg = TrainConfig(target="u0", epochs=2, batch_group=2, seed=2)
-    report = train(ds, mcfg, tcfg).report
+    report = train(ds, mcfg, tcfg, tmp_path / "model.ckpt").report
     path = tmp_path / "report.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -388,7 +396,7 @@ def test_training_csv_round_trip(tmp_path):
     assert float(row[1]) == report.epochs[0].train_loss  # repr round-trips
 
 
-def test_early_stopping_counts_epochs():
+def test_early_stopping_counts_epochs(tmp_path):
     ds = _toy_dataset(6, fractions=(0.67, 0.33, 0.0))
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
     # tiny plateau: lr 0 keeps weights frozen so validation never improves
@@ -396,7 +404,7 @@ def test_early_stopping_counts_epochs():
     tcfg = TrainConfig(
         target="u0", epochs=40, base_lr=1e-30, batch_group=6, seed=4, patience=3
     )
-    report = train(ds, mcfg, tcfg).report
+    report = train(ds, mcfg, tcfg, tmp_path / "model.ckpt").report
     assert len(report.epochs) == 1 + 3
     assert report.best_epoch == 0
 
@@ -412,7 +420,7 @@ def test_loss_slope_matches_central_differences(kind, loss):
     assert training._loss(0.0, kind) == (0.0, 0.0)
 
 
-def test_validation_reads_averaged_weights():
+def test_validation_reads_averaged_weights(tmp_path):
     # with a huge learning rate the raw weights jump far away while the
     # averaged shadow barely moves; recorded validation must track the shadow
     ds = _toy_dataset(8, fractions=(0.5, 0.5, 0.0))
@@ -421,8 +429,8 @@ def test_validation_reads_averaged_weights():
     # rate inside the warmup ramp, so the second epoch is the probe
     common = dict(target="u0", epochs=2, base_lr=0.5, batch_group=4, seed=5)
 
-    slow = train(ds, mcfg, TrainConfig(ema_decay=0.999, **common)).report
-    fast = train(ds, mcfg, TrainConfig(ema_decay=0.0, **common)).report
+    slow = train(ds, mcfg, TrainConfig(ema_decay=0.999, **common), tmp_path / "model.ckpt").report
+    fast = train(ds, mcfg, TrainConfig(ema_decay=0.0, **common), tmp_path / "model.ckpt").report
 
     init = init_params(mcfg, seed=5)
     val_mols = ds.subset("val")
@@ -435,13 +443,13 @@ def test_validation_reads_averaged_weights():
     assert drift_fast > 10.0 * drift_slow
 
 
-def test_validation_with_decay_zero_tracks_raw_weights():
+def test_validation_with_decay_zero_tracks_raw_weights(tmp_path):
     ds = _toy_dataset(6, fractions=(0.67, 0.33, 0.0))
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
     tcfg = TrainConfig(
         target="u0", epochs=1, base_lr=1e-3, batch_group=6, seed=6, ema_decay=0.0
     )
-    result = train(ds, mcfg, tcfg)
+    result = train(ds, mcfg, tcfg, tmp_path / "model.ckpt")
     val_mols = ds.subset("val")
     prepared = prepare_all(val_mols, mcfg)
     preds = evaluate(result.params, val_mols, prepared, mcfg)
@@ -449,40 +457,92 @@ def test_validation_with_decay_zero_tracks_raw_weights():
     assert float(np.mean(np.abs(preds - truth))) == result.report.epochs[0].val_mae
 
 
-def test_empty_validation_split_is_allowed():
+def test_empty_validation_split_is_allowed(tmp_path):
     ds = _toy_dataset(6, fractions=(1.0, 0.0, 0.0))
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
     tcfg = TrainConfig(target="u0", epochs=2, batch_group=3, seed=7)
-    result = train(ds, mcfg, tcfg)
+    result = train(ds, mcfg, tcfg, tmp_path / "model.ckpt")
     assert all(math.isnan(e.val_mae) for e in result.report.epochs)
     assert math.isfinite(result.report.final_train_mae)
 
 
-def test_train_rejects_missing_target():
+def test_train_rejects_missing_target(tmp_path):
     ds = _toy_dataset(6)
     tcfg = TrainConfig(target="nope", epochs=1)
     with pytest.raises(KeyError):
-        train(ds, ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1), tcfg)
+        train(ds, ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1), tcfg, tmp_path / "m.ckpt")
 
 
-def test_train_rejects_unsplit_or_empty_data():
+def test_train_rejects_unsplit_or_empty_data(tmp_path):
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
     with pytest.raises(ValueError):
-        train(Dataset(fixtures.overfit_set(4)), mcfg, TrainConfig(target="u0"))
+        train(Dataset(fixtures.overfit_set(4)), mcfg, TrainConfig(target="u0"), tmp_path / "m.ckpt")
     empty_train = split_dataset(
         Dataset(fixtures.overfit_set(4)), (0.0, 0.5, 0.5), seed=0
     )
     with pytest.raises(ValueError):
-        train(empty_train, mcfg, TrainConfig(target="u0"))
+        train(empty_train, mcfg, TrainConfig(target="u0"), tmp_path / "m.ckpt")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_aborts_with_diagnostic():
+def test_divergence_aborts_with_diagnostic(tmp_path):
     ds = _toy_dataset(4)
     mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
     tcfg = TrainConfig(
         target="u0", epochs=5, base_lr=1e150, batch_group=1, seed=8, patience=50
     )
     with pytest.raises(FloatingPointError) as e:
-        train(ds, mcfg, tcfg)
+        train(ds, mcfg, tcfg, tmp_path / "model.ckpt")
     assert "non-finite" in str(e.value)
+
+
+def _recorded_saves(monkeypatch):
+    """Paths ``train`` saves checkpoints to, in order."""
+    saves = []
+
+    def recorded(store, path):
+        saves.append(str(path))
+        save_checkpoint(store, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", recorded)
+    return saves
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_run_that_diverges_after_improving_removes_its_best_file(tmp_path, monkeypatch):
+    # One step per epoch, the first at learning rate 0: epoch 0 improves
+    # on validation and saves, the second step diverges.
+    ds = _toy_dataset(8, fractions=(0.5, 0.5, 0.0))
+    mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
+    tcfg = TrainConfig(target="u0", epochs=5, base_lr=1e150, batch_group=4, seed=8)
+    ckpt = tmp_path / "model.ckpt"
+    saves = _recorded_saves(monkeypatch)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        train(ds, mcfg, tcfg, ckpt)
+    assert saves == [f"{ckpt}.best"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("fractions", [(0.5, 0.5, 0.0), (1.0, 0.0, 0.0)], ids=["val", "no val"])
+def test_train_checkpoints_the_weights_it_returns(tmp_path, monkeypatch, fractions):
+    # With validation, every improvement goes to the .best file, which ends
+    # as the checkpoint; without, the final EMA is saved once.  A .best file
+    # left by an earlier killed run is gone either way.
+    ds = _toy_dataset(8, fractions=fractions)
+    mcfg = ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1)
+    tcfg = TrainConfig(target="u0", epochs=3, base_lr=5e-3, batch_group=2, seed=9)
+    ckpt = tmp_path / "model.ckpt"
+    (tmp_path / "model.ckpt.best").write_bytes(b"stale")
+    saves = _recorded_saves(monkeypatch)
+    result = train(ds, mcfg, tcfg, ckpt)
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    assert load_checkpoint(ckpt).flat.tobytes() == result.params.flat.tobytes()
+    if fractions[1]:
+        best, improvements = math.inf, 0
+        for e in result.report.epochs:
+            if e.val_mae < best:
+                best, improvements = e.val_mae, improvements + 1
+        assert improvements >= 1
+        assert saves == [f"{ckpt}.best"] * improvements
+    else:
+        assert saves == [str(ckpt)]
