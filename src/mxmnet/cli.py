@@ -59,9 +59,6 @@ class _Key(NamedTuple):
     help: str | None = None
 
 
-# The order key names ModelConfig.local_first: False, then True.
-_ORDERS = ("global_first", "local_first")
-
 # Every config key once: its type, its default and whether the command line
 # can override it.  Model and training defaults are the dataclasses' own.
 _KEYS: dict[str, _Key] = {
@@ -84,7 +81,6 @@ _KEYS: dict[str, _Key] = {
     "val_frac": _Key(float, DEFAULT_FRACTIONS[1]),
     "test_frac": _Key(float, DEFAULT_FRACTIONS[2]),
     "atomrefs": _Key(str, None),
-    "order": _Key(str, _ORDERS[ModelConfig.local_first]),
     "global_excludes_local": _Key(bool, ModelConfig.global_excludes_local),
 }
 
@@ -153,8 +149,6 @@ def _settings(args) -> dict:
 
 
 def _model_config(cfg: dict) -> ModelConfig:
-    if cfg["order"] not in _ORDERS:
-        raise ConfigError(f"order must be global_first or local_first, got {cfg['order']!r}")
     return ModelConfig(
         hidden_dim=cfg["hidden"],
         n_layers=cfg["layers"],
@@ -162,7 +156,6 @@ def _model_config(cfg: dict) -> ModelConfig:
         local_rule=cfg["local_rule"],
         local_cutoff=cfg["dl"],
         global_cutoff=cfg["dg"],
-        local_first=cfg["order"] == "local_first",
         global_excludes_local=cfg["global_excludes_local"],
     )
 
@@ -209,18 +202,22 @@ def cmd_featurize(args) -> int:
     mcfg = _model_config(cfg)
     out = _out_dir(cfg)
     prepared = prepare_all(ds.molecules, mcfg)
+    rbf = [f"rbf_{k + 1:02d}" for k in range(basis.N_RBF)]
+    sbf = [f"sbf_l{l}n{n + 1}" for l in range(basis.N_SHBF) for n in range(basis.N_SRBF)]
     for k, (m, (g, feats)) in enumerate(zip(ds.molecules, prepared)):
         stem = os.path.splitext(os.path.basename(m.key or f"mol{k}"))[0]
         base = os.path.join(out, f"{k:04d}_{stem}")
         with open(base + ".graph.txt", "w", encoding="utf-8") as fh:
             fh.write(graphmod.dump_graph(g))
-        _write_edge_csv(base + ".rbf_local.csv", feats.local_src, feats.local_dst, feats.rbf_local, "rbf")
-        _write_edge_csv(base + ".rbf_global.csv", feats.global_src, feats.global_dst, feats.rbf_global, "rbf")
+        local_edges = np.stack([feats.local_src, feats.local_dst], axis=1)
+        _write_table(base + ".rbf_local.csv", ["j", "i"] + rbf, local_edges, feats.rbf_local)
+        global_edges = np.stack([feats.global_src, feats.global_dst], axis=1)
+        _write_table(base + ".rbf_global.csv", ["j", "i"] + rbf, global_edges, feats.rbf_global)
         # The one-hop table lists the two-hop rows (k, j, i) = (jp, i, j) in one-hop order.
         two_hop, sbf_two = _triple_nodes(feats), feats.sbf_two
         rows = graphmod.one_hop_rows(feats)
-        _write_triple_csv(base + ".sbf_two.csv", ["k", "j", "i"], two_hop, sbf_two)
-        _write_triple_csv(base + ".sbf_one.csv", ["jp", "i", "j"], two_hop[rows], sbf_two[rows])
+        _write_table(base + ".sbf_two.csv", ["k", "j", "i"] + sbf, two_hop, sbf_two)
+        _write_table(base + ".sbf_one.csv", ["jp", "i", "j"] + sbf, two_hop[rows], sbf_two[rows])
         print(
             f"{m.key or stem}: N={feats.n_nodes} El={feats.local_src.size} "
             f"Eg={feats.global_src.size} T2={feats.two_hop_edge.size} T1={rows.size}"
@@ -237,25 +234,14 @@ def _triple_nodes(feats):
     return np.stack([src[e], dst[e], dst[t]], axis=1)
 
 
-def _write_edge_csv(path, src, dst, mat, prefix):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "i"] + [f"{prefix}_{k + 1:02d}" for k in range(mat.shape[1])])
-        for e in range(src.size):
-            w.writerow([int(src[e]), int(dst[e])] + [_fmt(v) for v in mat[e]])
-
-
-def _write_triple_csv(path, cols, idx, mat):
-    header = cols + [
-        f"sbf_l{l}n{n + 1}"
-        for l in range(basis.N_SHBF)
-        for n in range(basis.N_SRBF)
-    ]
+def _write_table(path, header, idx, mat):
+    """A CSV table: ``header``, then one row per row of the integer matrix
+    ``idx`` and the float matrix ``mat``, the floats as ``_fmt`` writes them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for r in range(mat.shape[0]):
-            w.writerow([int(v) for v in idx[r]] + [_fmt(v) for v in mat[r]])
+        for ids, vals in zip(idx.tolist(), mat.tolist()):
+            w.writerow(ids + [_fmt(v) for v in vals])
 
 
 def _fp_checked():

@@ -9,7 +9,7 @@ contributes both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -296,22 +296,10 @@ class MessageCounts:
 
     @property
     def total(self) -> int:
-        return (
-            self.global_mp
-            + self.local_step1
-            + self.local_step2
-            + self.local_step3
-            + self.cross_layer
-        )
+        return sum(self.as_tuple())
 
     def as_tuple(self):
-        return (
-            self.global_mp,
-            self.local_step1,
-            self.local_step2,
-            self.local_step3,
-            self.cross_layer,
-        )
+        return astuple(self)
 
 
 def count_messages(g: MultiplexGraph, triples: AngleTriples | None = None) -> MessageCounts:

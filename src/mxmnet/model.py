@@ -1,6 +1,6 @@
 """The two-layer multiplex message-passing model.
 
-One block (repeated ``n_layers`` times) runs, in the default order:
+One block (repeated ``n_layers`` times) runs, in this order:
 
 1. global-layer message passing: two identical passes over the global
    edges with a residual stack between them;
@@ -85,8 +85,6 @@ class ModelConfig:
     Basis sizes are the :mod:`mxmnet.basis` constants and the embedding
     table has a row per element up to :data:`mxmnet.elements.MAX_Z`;
     dimensions must be positive and cutoffs finite and positive.
-    ``local_first`` flips the within-block order so the local layer updates
-    before the global one (needs one extra init map).
     ``global_excludes_local`` drops local pairs from the global layer.
     """
 
@@ -96,7 +94,6 @@ class ModelConfig:
     local_rule: str = "bonds"
     local_cutoff: float = 2.0
     global_cutoff: float = 5.0
-    local_first: bool = False
     global_excludes_local: bool = False
 
     def __post_init__(self):
@@ -205,8 +202,6 @@ def _param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
     """Every parameter as (name, shape, init bound), in creation order."""
     f = cfg.hidden_dim
     layout = [("embed/table", (elements.MAX_Z, f), math.sqrt(3.0))]
-    if cfg.local_first:
-        layout += _mlp_layout("cross_init", f, f, f)
     cat = 2 * f + N_RBF
     sbf_dim = N_SHBF * N_SRBF
     for t in range(cfg.n_layers):
@@ -278,17 +273,12 @@ def check_params(store: ParamStore, cfg: ModelConfig):
         )
 
 
-@dataclass
 class MessageTally(MessageCounts):
     """Messages actually materialized during one forward pass.
 
     Incremented from runtime array row counts, independently of the
     closed-form predictions in :func:`mxmnet.graph.count_messages`.
-    ``cross_init`` counts the extra init map rows of local-first mode; it
-    is in neither ``as_tuple`` nor ``total``.
     """
-
-    cross_init: int = 0
 
 
 def _linear(x, params, w_name, b_name):
@@ -400,14 +390,11 @@ def local_mp(h, bases, feats, params, prefix, n_res, tally=None):
     return residual_update(agg, params, f"{prefix}/fu", n_res)
 
 
-def cross_layer_map(h, params, prefix, tally=None, init=False):
+def cross_layer_map(h, params, prefix, tally=None):
     """Row-wise two-layer MLP; the result replaces the destination layer."""
     out = swish(_mlp2(h, params, prefix))
     if tally is not None:
-        if init:
-            tally.cross_init += int(out.data.shape[0])
-        else:
-            tally.cross_layer += int(out.data.shape[0])
+        tally.cross_layer += int(out.data.shape[0])
     return out
 
 
@@ -457,25 +444,14 @@ def forward(
     bases_l = (Tensor(feats.rbf_local), Tensor(feats.sbf_two))
 
     h_g = gather(params["embed/table"], z - 1)
-    h_l = None
     contributions = []
     for t in range(cfg.n_layers):
         p = f"layer{t}"
-        if cfg.local_first:
-            if t == 0:
-                h_l = cross_layer_map(h_g, params, "cross_init", tally, init=True)
-            h_l = local_mp(h_l, bases_l, feats, params, f"{p}/local", cfg.n_residuals, tally)
-            contributions.append(output_head(h_l, params, f"{p}/out"))
-            h_g = cross_layer_map(h_l, params, f"{p}/cross_lg", tally)
-            h_g = global_mp(h_g, feats_g, params, f"{p}/global", cfg.n_residuals, tally)
-            if t + 1 < cfg.n_layers:
-                h_l = cross_layer_map(h_g, params, f"{p}/cross_gl", tally)
-        else:
-            h_g = global_mp(h_g, feats_g, params, f"{p}/global", cfg.n_residuals, tally)
-            h_l = cross_layer_map(h_g, params, f"{p}/cross_gl", tally)
-            h_l = local_mp(h_l, bases_l, feats, params, f"{p}/local", cfg.n_residuals, tally)
-            contributions.append(output_head(h_l, params, f"{p}/out"))
-            h_g = cross_layer_map(h_l, params, f"{p}/cross_lg", tally)
+        h_g = global_mp(h_g, feats_g, params, f"{p}/global", cfg.n_residuals, tally)
+        h_l = cross_layer_map(h_g, params, f"{p}/cross_gl", tally)
+        h_l = local_mp(h_l, bases_l, feats, params, f"{p}/local", cfg.n_residuals, tally)
+        contributions.append(output_head(h_l, params, f"{p}/out"))
+        h_g = cross_layer_map(h_l, params, f"{p}/cross_lg", tally)
     total = contributions[0]
     for c in contributions[1:]:
         total = add(total, c)

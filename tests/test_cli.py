@@ -27,6 +27,7 @@ from mxmnet.data import (
 from mxmnet.graph import count_angles, enumerate_angle_triples, neighbor_search, one_hop_rows
 from mxmnet.model import (
     ModelConfig,
+    ParamStore,
     forward,
     init_params,
     load_checkpoint,
@@ -78,7 +79,6 @@ def test_parse_config_defaults_are_the_dataclass_defaults(tmp_path):
     assert cfg["dl"] == model.local_cutoff
     assert cfg["dg"] == model.global_cutoff
     assert cfg["global_excludes_local"] == model.global_excludes_local
-    assert cfg["order"] == "global_first" and model.local_first is False
     assert cfg["epochs"] == tcfg.epochs
     assert cfg["lr"] == tcfg.base_lr
     assert cfg["batch_group"] == tcfg.batch_group
@@ -88,7 +88,7 @@ def test_parse_config_defaults_are_the_dataclass_defaults(tmp_path):
     assert (cfg["train_frac"], cfg["val_frac"], cfg["test_frac"]) == (0.8, 0.1, 0.1)
     assert cfg["target"] is None and cfg["manifest"] is None and cfg["atomrefs"] is None
     assert cfg["out"] == "mxm_out"
-    assert len(cfg) == 21
+    assert len(cfg) == 20
 
 
 def test_train_help_lists_the_common_flags(capsys):
@@ -284,8 +284,8 @@ def test_train_rejects_bad_target_before_writing(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, drop, extra, message",
     [
-        ("train", "", {"order": "sideways"},
-         "order must be global_first or local_first, got 'sideways'"),
+        # A config written for the removed local-first block order.
+        ("train", "", {"order": "global_first"}, "{cfg}:12: unknown config key 'order'"),
         ("train", "target", {}, "a target name is required (config key 'target')"),
         ("train", "manifest", {}, "a manifest path is required (config key 'manifest')"),
         ("eval", "", {}, "split 'test' is empty"),
@@ -305,7 +305,7 @@ def test_config_errors_fail_with_one_line(tmp_path, capsys, command, drop, extra
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.format(cfg=cfg)}\n"
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -671,6 +671,24 @@ def test_eval_rejects_checkpoint_of_another_architecture(tmp_path, capsys, flags
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert expect in err
+
+
+def test_eval_rejects_a_local_first_checkpoint(tmp_path, capsys):
+    # The removed local-first block order saved a cross_init map after the
+    # embedding table; such a checkpoint fits no model config.
+    manifest = _overfit_manifest(tmp_path)
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", test_frac=0.25, val_frac=0.0)
+    params = init_params(ModelConfig(hidden_dim=8, n_layers=1, n_residuals=1))
+    layout = [(name, t.data.shape) for name, t in params.items()]
+    layout[1:1] = [("cross_init/w1", (8, 8)), ("cross_init/b1", (8,)),
+                   ("cross_init/w2", (8, 8)), ("cross_init/b2", (8,))]
+    ckpt = str(tmp_path / "local_first.ckpt")
+    save_checkpoint(ParamStore(layout), ckpt)
+    assert cli.main(["eval", "--config", cfg, "--checkpoint", ckpt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "parameter 1 is 'cross_init/w1'" in err
 
 
 def test_eval_rejects_a_non_finite_checkpoint(tmp_path, capsys):

@@ -150,11 +150,6 @@ def test_init_ranges_and_distribution():
     assert stats.kstest(uw, "uniform").pvalue > 0.01
 
 
-def test_init_layout_depends_on_block_order():
-    assert "cross_init/w1" not in init_params(tiny_cfg(), seed=0)
-    assert "cross_init/w1" in init_params(tiny_cfg(local_first=True), seed=0)
-
-
 def test_param_store_guard_rails():
     with pytest.raises(ValueError, match="duplicate parameter 'a/w'"):
         ParamStore([("a/w", (2, 2)), ("a/w", (2, 2))])
@@ -516,34 +511,6 @@ def test_forward_tally_matches_closed_form_counts():
             forward(m, params, cfg, feats=feats, tally=tally)
             want = tuple(layers * v for v in counts.as_tuple())
             assert tally.as_tuple() == want
-            assert tally.cross_init == 0
-
-
-def test_forward_tally_local_first_order():
-    rng = np.random.default_rng(25)
-    layers = 2
-    cfg = tiny_cfg(n_layers=layers, local_first=True)
-    params = init_params(cfg, seed=26)
-    m = fixtures.random_molecule(rng)
-    g, feats = prepare_inputs(m, cfg)
-    counts = count_messages(g)
-    tally = MessageTally()
-    forward(m, params, cfg, feats=feats, tally=tally)
-    n = g.n_nodes
-    assert tally.cross_init == n
-    assert tally.cross_layer == n * (2 * layers - 1)
-    assert tally.cross_layer + tally.cross_init == layers * counts.cross_layer
-    assert tally.global_mp == layers * counts.global_mp
-
-
-def test_forward_local_first_keeps_invariances():
-    cfg = tiny_cfg(n_layers=2, local_first=True)
-    params = init_params(cfg, seed=27)
-    rng = np.random.default_rng(28)
-    m = fixtures.methane()
-    base = forward(m, params, cfg).item()
-    moved = fixtures.rigid_transform(m, fixtures.random_rotation(rng), np.ones(3))
-    assert abs(forward(moved, params, cfg).item() - base) < 1e-8
 
 
 def test_forward_gradient_spot_check():
