@@ -28,7 +28,6 @@ __all__ = [
     "random_points",
     "random_simple_graph",
     "write_molecule_dir",
-    "write_verify_pairs",
     "dataset_from",
 ]
 
@@ -204,23 +203,6 @@ def write_molecule_dir(mols, out_dir) -> str:
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.write("\n".join(names) + "\n")
     return manifest
-
-
-def write_verify_pairs(out_dir, n: int = 4, seed: int = 3):
-    """Fixture pairs for the verify command: each base molecule next to a
-    rigidly transformed copy (<name>.rot.extxyz) that must predict equal."""
-    os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    mols = fixture_set(n, seed=seed)
-    for m in mols:
-        rot = random_rotation(rng)
-        shift = rng.uniform(-5.0, 5.0, size=3)
-        save_molecule(m, os.path.join(out_dir, f"{m.key}.extxyz"))
-        save_molecule(
-            rigid_transform(m, rot, shift),
-            os.path.join(out_dir, f"{m.key}.rot.extxyz"),
-        )
-    return [m.key for m in mols]
 
 
 def dataset_from(mols, fractions, seed: int = 0) -> Dataset:

@@ -153,15 +153,12 @@ def build_multiplex(
     local_rule: str = "bonds",
     local_cutoff: float = 2.0,
     global_cutoff: float = 5.0,
-    global_excludes_local: bool = False,
 ) -> MultiplexGraph:
     """Construct both layers for one molecule.
 
     ``local_rule`` is "bonds" (explicit bonds or the covalent fallback) or
     "cutoff" (distance rule with ``local_cutoff``).  The global layer keeps
-    every pair inside ``global_cutoff``; with ``global_excludes_local`` the
-    pairs already in the local layer are dropped from it, which makes the
-    union of layers the plain cutoff graph instead of a multiplex over it.
+    every pair inside ``global_cutoff``, local pairs included.
     """
     if local_rule == "bonds":
         local_rules = [_covalent_rule(m)] if m.bonds is None else []
@@ -182,8 +179,6 @@ def build_multiplex(
         a = np.asarray(m.bonds, dtype=np.int64).reshape(-1, 2)
         local = np.concatenate([a, a[:, ::-1]])
         local = local[np.argsort(_edge_keys(local, n))]
-    if global_excludes_local:
-        glob = glob[~np.isin(_edge_keys(glob, n), _edge_keys(local, n))]
     return MultiplexGraph(n, local, glob)
 
 

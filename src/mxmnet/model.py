@@ -85,7 +85,6 @@ class ModelConfig:
     Basis sizes are the :mod:`mxmnet.basis` constants and the embedding
     table has a row per element up to :data:`mxmnet.elements.MAX_Z`;
     dimensions must be positive and cutoffs finite and positive.
-    ``global_excludes_local`` drops local pairs from the global layer.
     """
 
     hidden_dim: int = 128
@@ -94,7 +93,6 @@ class ModelConfig:
     local_rule: str = "bonds"
     local_cutoff: float = 2.0
     global_cutoff: float = 5.0
-    global_excludes_local: bool = False
 
     def __post_init__(self):
         for name in ("hidden_dim", "n_layers", "n_residuals"):
@@ -114,7 +112,7 @@ class ParamStore:
     """Named parameter tensors that view consecutive parts of one float64
     vector, ``store.flat``: ``flat`` (zeros when not given), which must hold
     exactly as many values as the (name, shape) pairs of ``layout``.  Names
-    are unique and hold no whitespace."""
+    are unique, non-empty and hold no whitespace."""
 
     def __init__(self, layout, flat: np.ndarray | None = None):
         self._ends = np.cumsum([math.prod(shape) for _, shape in layout], dtype=np.int64)
@@ -131,16 +129,15 @@ class ParamStore:
         for (name, shape), hi in zip(layout, self._ends.tolist()):
             if name in self._params:
                 raise ValueError(f"duplicate parameter {name!r}")
-            if " " in name or "\n" in name:
-                raise ValueError(f"parameter name may not contain whitespace: {name!r}")
+            if name.split() != [name]:
+                raise ValueError(
+                    f"parameter name must be non-empty with no whitespace: {name!r}"
+                )
             self._params[name] = Tensor(flat[lo:hi].reshape(shape), requires_grad=True)
             lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __len__(self) -> int:
         return len(self._params)
@@ -249,8 +246,8 @@ def check_params(store: ParamStore, cfg: ModelConfig):
     """Raise ValueError at the first parameter whose name or shape differs
     from the layout ``cfg`` implies, or if the counts differ.
 
-    Graph settings (cutoffs, local rule, global exclusion) leave no trace in
-    the parameters, so they cannot be checked here.
+    Graph settings (cutoffs, local rule) leave no trace in the parameters,
+    so they cannot be checked here.
     """
     want = [(name, shape) for name, shape, _ in _param_layout(cfg)]
     got = [(name, t.data.shape) for name, t in store.items()]
@@ -414,7 +411,6 @@ def prepare_inputs(m: Molecule, cfg: ModelConfig):
         local_rule=cfg.local_rule,
         local_cutoff=cfg.local_cutoff,
         global_cutoff=cfg.global_cutoff,
-        global_excludes_local=cfg.global_excludes_local,
     )
     feats = featurize(m, g, cfg.local_cutoff, cfg.global_cutoff)
     return g, feats

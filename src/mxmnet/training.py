@@ -85,6 +85,12 @@ def prepare_all(molecules, cfg: ModelConfig):
     return prepared
 
 
+# The paper's schedule: the rate ramps up over one epoch, then falls tenfold
+# every ``TrainConfig.decay_epochs``.
+_WARMUP_EPOCHS = 1.0
+_DECAY_RATIO = 0.1
+
+
 @dataclass
 class TrainConfig:
     target: str
@@ -94,8 +100,6 @@ class TrainConfig:
     seed: int = 0
     loss: str = "mae"
     patience: int = 50
-    warmup_epochs: float = 1.0
-    decay_ratio: float = 0.1
     decay_epochs: float = 600.0
     ema_decay: float = 0.999
     atomrefs: dict[int, float] | None = None
@@ -107,17 +111,12 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if _integer(self, "batch_group") < 1:
             raise ValueError("batch_group must be at least 1")
-        _integer(self, "seed")
+        if _integer(self, "seed") < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if _integer(self, "patience") < 1:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
         if not 0.0 < self.base_lr < math.inf:
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if not 0.0 <= self.warmup_epochs < math.inf:
-            raise ValueError(
-                f"warmup_epochs must be non-negative and finite, got {self.warmup_epochs}"
-            )
-        if not 0.0 < self.decay_ratio <= 1.0:
-            raise ValueError(f"decay_ratio must lie in (0, 1], got {self.decay_ratio}")
         if not 0.0 < self.decay_epochs < math.inf:
             raise ValueError(
                 f"decay_epochs must be positive and finite, got {self.decay_epochs}"
@@ -130,20 +129,18 @@ def lr_at(
     step: int,
     steps_per_epoch: int,
     base_lr: float,
-    warmup_epochs: float = TrainConfig.warmup_epochs,
-    decay_ratio: float = TrainConfig.decay_ratio,
     decay_epochs: float = TrainConfig.decay_epochs,
 ) -> float:
     """Learning rate at a global step: linear warmup from zero across the
-    first epoch, then continuous exponential decay by ``decay_ratio`` every
+    first epoch, then continuous exponential decay by a factor of ten every
     ``decay_epochs`` epochs.  Continuous at the warmup boundary."""
     if steps_per_epoch < 1:
         raise ValueError("steps_per_epoch must be at least 1")
-    warm_steps = warmup_epochs * steps_per_epoch
+    warm_steps = _WARMUP_EPOCHS * steps_per_epoch
     if step < warm_steps:
         return base_lr * step / warm_steps
     epochs_past = (step - warm_steps) / steps_per_epoch
-    return base_lr * decay_ratio ** (epochs_past / decay_epochs)
+    return base_lr * _DECAY_RATIO ** (epochs_past / decay_epochs)
 
 
 # Scalars per pass of ``adam_step`` and ``EmaWeights.update``.  A paper-dims
@@ -430,12 +427,7 @@ def train(
                 row = ranks.run([costs[i] for i in chunk], accumulate, grads=True)
                 losses[chunk] = row[: len(chunk)]
                 lr = lr_at(
-                    state.step,
-                    steps_per_epoch,
-                    train_cfg.base_lr,
-                    train_cfg.warmup_epochs,
-                    train_cfg.decay_ratio,
-                    train_cfg.decay_epochs,
+                    state.step, steps_per_epoch, train_cfg.base_lr, train_cfg.decay_epochs
                 )
                 adam_step(params, ranks.grad, state, lr, mine)
                 ema.update(params, mine)

@@ -422,25 +422,24 @@ def test_featurize_matches_per_triple_reference():
     mols += [fixtures.random_molecule(rng) for _ in range(20)]
     seen_triples = 0
     for rule in ("bonds", "cutoff"):
-        for excludes in (False, True):
-            cfg = ModelConfig(local_rule=rule, global_excludes_local=excludes)
-            for m in mols:
-                g, f = prepare_inputs(m, cfg)
-                tri = enumerate_angle_triples(g)
-                e = g.local_edges
-                d = np.linalg.norm(m.coords[e[:, 0]] - m.coords[e[:, 1]], axis=1)
-                # The radial part of one-hop row (jp, i, j) sits on edge (jp -> i).
-                edge_id = {(j, i): k for k, (j, i) in enumerate(e.tolist())}
-                one_hop_edge = [edge_id[(jp, i)] for jp, i, _ in tri.one_hop.tolist()]
-                for t, edge, got in (
-                    (tri.two_hop, tri.two_hop_edge, f.sbf_two),
-                    (tri.one_hop, np.array(one_hop_edge, dtype=np.int64), f.sbf_one),
-                ):
-                    ang = angle_between(m.coords[t[:, 1]], m.coords[t[:, 0]], m.coords[t[:, 2]])
-                    want = _per_triple_sbf(d[edge], ang, cfg.local_cutoff)
-                    assert got.shape == want.shape and got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes(), (rule, excludes, m.key)
-                    seen_triples += t.shape[0]
-                assert np.array_equal(f.two_hop_edge, tri.two_hop_edge)
-                assert np.array_equal(f.reverse_target, tri.reverse_target)
+        cfg = ModelConfig(local_rule=rule)
+        for m in mols:
+            g, f = prepare_inputs(m, cfg)
+            tri = enumerate_angle_triples(g)
+            e = g.local_edges
+            d = np.linalg.norm(m.coords[e[:, 0]] - m.coords[e[:, 1]], axis=1)
+            # The radial part of one-hop row (jp, i, j) sits on edge (jp -> i).
+            edge_id = {(j, i): k for k, (j, i) in enumerate(e.tolist())}
+            one_hop_edge = [edge_id[(jp, i)] for jp, i, _ in tri.one_hop.tolist()]
+            for t, edge, got in (
+                (tri.two_hop, tri.two_hop_edge, f.sbf_two),
+                (tri.one_hop, np.array(one_hop_edge, dtype=np.int64), f.sbf_one),
+            ):
+                ang = angle_between(m.coords[t[:, 1]], m.coords[t[:, 0]], m.coords[t[:, 2]])
+                want = _per_triple_sbf(d[edge], ang, cfg.local_cutoff)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (rule, m.key)
+                seen_triples += t.shape[0]
+            assert np.array_equal(f.two_hop_edge, tri.two_hop_edge)
+            assert np.array_equal(f.reverse_target, tri.reverse_target)
     assert seen_triples > 1000

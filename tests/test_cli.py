@@ -19,7 +19,6 @@ from mxmnet.data import (
     Molecule,
     load_atomrefs,
     load_manifest,
-    load_molecule,
     save_molecule,
     split_dataset,
     target_stats,
@@ -78,7 +77,6 @@ def test_parse_config_defaults_are_the_dataclass_defaults(tmp_path):
     assert cfg["local_rule"] == model.local_rule
     assert cfg["dl"] == model.local_cutoff
     assert cfg["dg"] == model.global_cutoff
-    assert cfg["global_excludes_local"] == model.global_excludes_local
     assert cfg["epochs"] == tcfg.epochs
     assert cfg["lr"] == tcfg.base_lr
     assert cfg["batch_group"] == tcfg.batch_group
@@ -88,7 +86,7 @@ def test_parse_config_defaults_are_the_dataclass_defaults(tmp_path):
     assert (cfg["train_frac"], cfg["val_frac"], cfg["test_frac"]) == (0.8, 0.1, 0.1)
     assert cfg["target"] is None and cfg["manifest"] is None and cfg["atomrefs"] is None
     assert cfg["out"] == "mxm_out"
-    assert len(cfg) == 20
+    assert len(cfg) == 19
 
 
 def test_train_help_lists_the_common_flags(capsys):
@@ -135,9 +133,11 @@ def test_parse_config_rejects_bad_values(tmp_path):
     path.write_text("hidden = eight\n")
     with pytest.raises(ConfigError):
         parse_config(path)
-    path.write_text("global_excludes_local = maybe\n")
-    with pytest.raises(ConfigError):
+    # A config written for the removed global-layer exclusion.
+    path.write_text("global_excludes_local = true\n")
+    with pytest.raises(ConfigError) as e:
         parse_config(path)
+    assert str(e.value) == f"{path}:1: unknown config key 'global_excludes_local'"
     path.write_text("just a line\n")
     with pytest.raises(ConfigError):
         parse_config(path)
@@ -753,34 +753,21 @@ def test_verify_passes_on_clean_fixtures(tmp_path, capsys):
     assert any("measured=" in ln and "tol=" in ln for ln in lines)
 
 
-def test_verify_catches_tampered_fixture(tmp_path, capsys):
-    pair_dir = tmp_path / "pairs"
-    fixtures.write_verify_pairs(pair_dir, n=3, seed=3)
-    args = ["verify", "--out", str(tmp_path / "out"), "--fixtures", str(pair_dir)]
-    assert cli.main(args) == 0
-    capsys.readouterr()
-
-    victim = pair_dir / "water.rot.extxyz"
-    m = load_molecule(victim)
-    m.coords[0, 0] += 0.05  # break the rigid correspondence
-    save_molecule(m, victim)
-    assert cli.main(args) == 1
-    out = capsys.readouterr().out
-    assert any(ln.startswith("FAIL rigid-invariance") for ln in out.splitlines())
-
-
 def test_verify_reports_a_check_that_raises_as_failed(tmp_path, capsys, monkeypatch):
-    # The other checks pass at once; the rigid check gets a directory
-    # without pairs, raises, and must print FAIL rather than end the run.
+    # The other checks pass at once; the rigid check raises, and must print
+    # FAIL rather than end the run.
     for name in ("gradients", "permutation", "angle_count", "message_count",
                  "bessel_roots", "cutoff"):
         monkeypatch.setattr(cli, f"_check_{name}", lambda seed: (0.0, 1.0))
     monkeypatch.setattr(cli, "_check_checkpoint", lambda seed, out: (0.0, 0.0))
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    assert cli.main(["verify", "--out", str(tmp_path / "out"), "--fixtures", str(empty)]) == 1
+
+    def broken(seed):
+        raise ValueError("rigid check broke")
+
+    monkeypatch.setattr(cli, "_check_rigid", broken)
+    assert cli.main(["verify", "--out", str(tmp_path / "out")]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert f"FAIL rigid-invariance error=no *.rot.extxyz pairs in {empty}" in out
+    assert "FAIL rigid-invariance error=rigid check broke" in out
     assert sum(ln.startswith("PASS") for ln in out) == 7
     assert out[-1] == "1 of 8 checks failed"
 

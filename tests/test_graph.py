@@ -172,16 +172,6 @@ def test_build_multiplex_cutoff_rule_and_validation():
         build_multiplex(m, local_rule="nope")
 
 
-def test_build_multiplex_exclusion_flag():
-    m = fixtures.methane()
-    g = build_multiplex(m, global_cutoff=4.0, global_excludes_local=True)
-    local = {tuple(e) for e in g.local_edges}
-    glob = {tuple(e) for e in g.global_edges}
-    assert not local & glob
-    full = build_multiplex(m, global_cutoff=4.0)
-    assert glob | local == {tuple(e) for e in full.global_edges} | local
-
-
 def test_edges_stay_symmetric_on_random_molecules():
     rng = np.random.default_rng(32)
     for trial in range(20):
@@ -247,10 +237,7 @@ def test_reverse_maps_match_edge_loop():
     mols = fixtures.fixture_set() + [fixtures.random_molecule(rng) for _ in range(15)]
     for m in mols:
         for rule in ("bonds", "cutoff"):
-            for exclude in (False, True):
-                _check_reverse_maps(
-                    build_multiplex(m, local_rule=rule, global_excludes_local=exclude)
-                )
+            _check_reverse_maps(build_multiplex(m, local_rule=rule))
     for n, pairs in [(3, [(0, 1), (1, 2)]), (2, [(0, 1)]), (4, [(0, 1), (0, 2), (0, 3)])]:
         _check_reverse_maps(_graph_from_undirected(n, pairs))
     for trial in range(10):
@@ -278,13 +265,8 @@ def test_global_layer_is_the_cutoff_scan():
     for m in mols:
         want = neighbor_search(m.coords, 4.5)
         for rule in ("bonds", "cutoff"):
-            for exclude in (False, True):
-                g = build_multiplex(
-                    m, local_rule=rule, global_cutoff=4.5, global_excludes_local=exclude
-                )
-                local = {tuple(e) for e in g.local_edges.tolist()}
-                keep = [not (exclude and tuple(e) in local) for e in want.tolist()]
-                assert np.array_equal(g.global_edges, want[keep].reshape(-1, 2))
+            g = build_multiplex(m, local_rule=rule, global_cutoff=4.5)
+            assert np.array_equal(g.global_edges, want)
 
 
 @pytest.mark.parametrize("rule", ["bonds", "cutoff", "explicit"])
