@@ -198,14 +198,11 @@ def cmd_featurize(args) -> int:
         _write_table(base + ".rbf_local.csv", ["j", "i"] + rbf, local_edges, feats.rbf_local)
         global_edges = np.stack([feats.global_src, feats.global_dst], axis=1)
         _write_table(base + ".rbf_global.csv", ["j", "i"] + rbf, global_edges, feats.rbf_global)
-        # The one-hop table lists the two-hop rows (k, j, i) = (jp, i, j) in one-hop order.
-        two_hop, sbf_two = _triple_nodes(feats), feats.sbf_two
-        rows = graphmod.one_hop_rows(feats)
-        _write_table(base + ".sbf_two.csv", ["k", "j", "i"] + sbf, two_hop, sbf_two)
-        _write_table(base + ".sbf_one.csv", ["jp", "i", "j"] + sbf, two_hop[rows], sbf_two[rows])
+        triples = _triple_nodes(feats)
+        _write_table(base + ".sbf_two.csv", ["k", "j", "i"] + sbf, triples, feats.sbf_two)
         print(
             f"{m.key or stem}: N={feats.n_nodes} El={feats.local_src.size} "
-            f"Eg={feats.global_src.size} T2={feats.two_hop_edge.size} T1={rows.size}"
+            f"Eg={feats.global_src.size} T2={feats.two_hop_edge.size}"
         )
     return 0
 
@@ -364,31 +361,33 @@ def _check_gradients(seed: int):
     return worst, 1e-4
 
 
-def _check_rigid(seed: int):
+def _check_drift(seed: int, move, tol: float):
+    """The largest change in the tiny model's prediction for a fixture
+    molecule ``m`` over three copies ``move(m, rng)`` of it, and ``tol``."""
     rng = np.random.default_rng(seed)
     mcfg, params = _tiny_model(seed)
     worst = 0.0
     for m in fixtures.fixture_set(5, seed=seed):
         y0 = forward(m, params, mcfg).item()
         for _ in range(3):
-            rot = fixtures.random_rotation(rng)
-            shift = rng.uniform(-8, 8, size=3)
-            y1 = forward(fixtures.rigid_transform(m, rot, shift), params, mcfg).item()
+            y1 = forward(move(m, rng), params, mcfg).item()
             worst = max(worst, abs(y0 - y1))
-    return worst, 1e-8
+    return worst, tol
+
+
+def _check_rigid(seed: int):
+    def move(m, rng):
+        rot = fixtures.random_rotation(rng)
+        return fixtures.rigid_transform(m, rot, rng.uniform(-8, 8, size=3))
+
+    return _check_drift(seed, move, 1e-8)
 
 
 def _check_permutation(seed: int):
-    rng = np.random.default_rng(seed)
-    mcfg, params = _tiny_model(seed)
-    worst = 0.0
-    for m in fixtures.fixture_set(5, seed=seed):
-        y0 = forward(m, params, mcfg).item()
-        for _ in range(3):
-            perm = rng.permutation(m.n_atoms)
-            y1 = forward(fixtures.permute_atoms(m, perm), params, mcfg).item()
-            worst = max(worst, abs(y0 - y1))
-    return worst, 1e-10
+    def move(m, rng):
+        return fixtures.permute_atoms(m, rng.permutation(m.n_atoms))
+
+    return _check_drift(seed, move, 1e-10)
 
 
 def _check_angle_count(seed: int):

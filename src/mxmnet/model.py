@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 import os
 import sys
@@ -70,12 +71,21 @@ _CKPT_VERSION = 1
 
 
 def _integer(cfg, name: str) -> int:
-    """Field ``name`` of ``cfg``, which must be a Python or numpy integer."""
+    """Field ``name`` of ``cfg``, which must be a Python or numpy integer,
+    not a bool."""
     value = getattr(cfg, name)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(cfg, name: str):
+    """Field ``name`` of ``cfg``, which must be a real number, not a bool."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass
@@ -101,7 +111,7 @@ class ModelConfig:
         if self.local_rule not in ("bonds", "cutoff"):
             raise ValueError(f"unknown local rule {self.local_rule!r}")
         for name in ("local_cutoff", "global_cutoff"):
-            value = getattr(self, name)
+            value = _real(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.local_rule == "cutoff" and self.local_cutoff >= self.global_cutoff:

@@ -46,6 +46,7 @@ from .model import (
     ParamStore,
     _integer,
     _param_layout,
+    _real,
     forward,
     init_params,
     load_checkpoint,
@@ -115,13 +116,13 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if _integer(self, "patience") < 1:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
-        if not 0.0 < self.base_lr < math.inf:
+        if not 0.0 < _real(self, "base_lr") < math.inf:
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if not 0.0 < self.decay_epochs < math.inf:
+        if not 0.0 < _real(self, "decay_epochs") < math.inf:
             raise ValueError(
                 f"decay_epochs must be positive and finite, got {self.decay_epochs}"
             )
-        if not 0.0 <= self.ema_decay < 1.0:
+        if not 0.0 <= _real(self, "ema_decay") < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
 
 
@@ -507,11 +508,10 @@ def _loss(r: float, kind: str) -> tuple[float, float]:
 # the heap about 35 ms more.
 _MIN_SHARD_MESSAGES = 7_500
 
-# One byte per message on the pipes.  Up, from a rank to rank 0: it has
-# reached the barrier; or it failed, and an 8-byte length and the pickled
-# exception follow.  Down, from rank 0: add your gradient now; every rank
-# has reached the barrier.
-_DONE, _FAILED = b"K", b"E"
+# Messages on a rank's connection.  Up, to rank 0: the rank has reached the
+# barrier, or the exception it failed with.  Down, from rank 0: add your
+# gradient now; every rank has reached the barrier.
+_DONE = b"K"
 _ADD, _READY = b"A", b"R"
 
 
@@ -585,24 +585,6 @@ def _plan_ranks(costs) -> int:
     return max(1, min(cores, sum(costs) // _MIN_SHARD_MESSAGES))
 
 
-def _read_exact(fd, n: int) -> bytes:
-    """``n`` bytes from ``fd``; fewer only where the writer has gone."""
-    parts = []
-    while n:
-        part = os.read(fd, n)
-        if not part:
-            break
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
-
-
-def _write_all(fd, data: bytes):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
 class _RankGroup:
     """``size`` processes that run the same code, each over its own shards.
 
@@ -623,9 +605,12 @@ class _RankGroup:
     the gradient vectors, or its own part of ``state`` while another still
     reads what it held before.
 
-    A rank's exception reaches rank 0 at the next barrier, ranks in order,
-    so the earliest failing shard's wins; a rank that ends without a result
-    raises ``ChildProcessError``.  Rank 0 always reaps the other ranks, and
+    Rank 0 holds one duplex ``multiprocessing.connection`` to each other
+    rank, and each end lives in one process only, so a rank that ends
+    shows as the end of its connection.  A rank's exception reaches rank 0
+    at the next barrier as a message, ranks in order, so the earliest
+    failing shard's wins; a rank that ends without a result raises
+    ``ChildProcessError``.  Rank 0 always reaps the other ranks, and
     SIGKILLs them first when it leaves the block by an exception or an
     interrupt.
     """
@@ -645,9 +630,9 @@ class _RankGroup:
         self.grad, self.state = vectors[0], vectors[1:]
         self._row = flat[(1 + n_state) * n_grads :]
         self.own_grad = self.grad  # a private vector past rank 0 (``_fork``)
-        self._others = []  # rank 0: (pid, down fd, up fd) of ranks 1, 2, ...
+        self._others = []  # rank 0: (pid, connection) of ranks 1, 2, ...
         self._status = {}  # rank 0: wait status of each reaped rank
-        self._pipe = None  # rank k > 0: its (down fd, up fd)
+        self._conn = None  # rank k > 0: its connection to rank 0
         self._threads = None
 
     def __enter__(self):
@@ -673,37 +658,35 @@ class _RankGroup:
 
     def _fork(self, rank: int) -> bool:
         """Start ``rank``; True in the new process."""
-        down_r, down_w = os.pipe()
-        up_r, up_w = os.pipe()
+        # Imported here: only a group that forks pays its 12-17 ms.
+        from multiprocessing.connection import Pipe
+
+        here, there = Pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (down_r, down_w, up_r, up_w):
-                os.close(fd)
+            here.close()
+            there.close()
             raise
         if pid == 0:
             try:
-                # Rank 0's ends, so that each pipe has one reader and one writer.
-                for _, down, up in self._others:
-                    os.close(down)
-                    os.close(up)
-                os.close(down_w)
-                os.close(up_r)
+                # Rank 0's ends, so that each connection has one end per side.
+                for _, conn in self._others:
+                    conn.close()
+                here.close()
             except BaseException:
                 os._exit(1)
-            self.rank, self._others, self._pipe = rank, [], (down_r, up_w)
+            self.rank, self._others, self._conn = rank, [], there
             self.own_grad = np.empty_like(self.grad)
             return True
-        os.close(down_r)
-        os.close(up_w)
-        self._others.append((pid, down_w, up_r))
+        there.close()
+        self._others.append((pid, here))
         return False
 
     def _close(self, kill: bool):
         try:
-            for rank, (_, down, up) in enumerate(self._others, start=1):
-                os.close(down)
-                os.close(up)
+            for rank, (_, conn) in enumerate(self._others, start=1):
+                conn.close()
                 self._reap(rank, kill)
         finally:
             _openblas()[1](self._threads)
@@ -721,40 +704,36 @@ class _RankGroup:
 
     def _tell(self, rank: int, msg: bytes):
         try:
-            os.write(self._others[rank - 1][1], msg)
-        except BrokenPipeError:
+            self._others[rank - 1][1].send(msg)
+        except OSError:
             pass  # the rank has ended; its answer, or its absence, says how
 
     def _hear(self, rank: int, want: bytes):
         """Take ``rank``'s next message, which must be ``want``; raise the
         exception the rank sent instead, or ``ChildProcessError`` if it
         ended."""
-        up = self._others[rank - 1][2]
-        tag = os.read(up, 1)
-        if tag == _FAILED:
-            size = int.from_bytes(_read_exact(up, 8), "little")
-            blob = _read_exact(up, size)
-            if len(blob) == size:
-                raise pickle.loads(blob)
-        elif tag == want:
+        try:
+            msg = self._others[rank - 1][1].recv()
+        except (EOFError, ConnectionResetError):
+            # A rank that exits with a message of ours unread resets its end.
+            msg = None
+        if isinstance(msg, BaseException):
+            raise msg
+        if msg == want:
             return
-        code = os.waitstatus_to_exitcode(self._reap(rank, kill=bool(tag)))
+        code = os.waitstatus_to_exitcode(self._reap(rank, kill=msg is not None))
         how = f"signal {-code}" if code < 0 else f"exit status {code}"
         raise ChildProcessError(f"rank {rank} of {self.size} ended without a result ({how})")
 
-    def _send(self, msg: bytes):
-        _write_all(self._pipe[1], msg)
-
     def _await(self, want: bytes):
-        if os.read(self._pipe[0], 1) != want:
+        if self._conn.recv() != want:
             raise ChildProcessError("rank 0 left the group")
 
     def _fail(self, e: Exception):
         try:
-            blob = pickle.dumps(e)
+            self._conn.send(e)
         except (pickle.PicklingError, TypeError, AttributeError):
-            blob = pickle.dumps(RuntimeError(f"{type(e).__name__}: {e}"))
-        self._send(_FAILED + len(blob).to_bytes(8, "little") + blob)
+            self._conn.send(RuntimeError(f"{type(e).__name__}: {e}"))
 
     # --- work ----------------------------------------------------------------
 
@@ -800,5 +779,5 @@ class _RankGroup:
             if grads:
                 self._await(_ADD)
                 self.grad += self.own_grad
-            self._send(_DONE)
+            self._conn.send(_DONE)
             self._await(_READY)

@@ -156,13 +156,12 @@ def test_featurize_water_summary(tmp_path, capsys):
     assert cli.main(["featurize", "--config", cfg]) == 0
     line = capsys.readouterr().out.strip()
     assert "N=3" in line and "El=4" in line and "Eg=6" in line
-    assert "T2=2" in line and "T1=2" in line
+    assert "T2=2" in line and "T1=" not in line
     names = sorted(os.listdir(tmp_path / "out"))
     assert names == [
         "0000_water.graph.txt",
         "0000_water.rbf_global.csv",
         "0000_water.rbf_local.csv",
-        "0000_water.sbf_one.csv",
         "0000_water.sbf_two.csv",
     ]
     graph_lines = (tmp_path / "out" / "0000_water.graph.txt").read_text().splitlines()
@@ -187,8 +186,8 @@ def test_featurize_reruns_byte_identical(tmp_path):
 
 def test_featurize_triple_columns_are_the_enumerated_triples():
     # The CSV node columns come from the features' edge ids; they must be
-    # the rows graph.enumerate_angle_triples lists, in its order.  The
-    # one-hop table lists the same rows in one-hop order.
+    # the rows graph.enumerate_angle_triples lists, in its order, and
+    # one_hop_rows takes them to its one-hop triples.
     rng = np.random.default_rng(61)
     mols = fixtures.fixture_set() + [fixtures.random_molecule(rng) for _ in range(12)]
     rows = 0

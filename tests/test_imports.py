@@ -28,3 +28,5 @@ def test_package_imports_without_test_only_libraries():
     assert {"basis", "cli", "data", "graph", "model", "training"} <= set(names)
     assert "numpy" in loaded
     assert not {"scipy", "mpmath", "pytest"} & set(loaded)
+    # The rank group imports it when it forks, so one-rank runs pay nothing.
+    assert "multiprocessing" not in loaded

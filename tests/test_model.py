@@ -64,7 +64,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(n_layers=0)
     for name in ("hidden_dim", "n_layers", "n_residuals"):
-        for value in (2.5, 1.0, "3"):
+        for value in (2.5, 1.0, "3", True):
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
                 ModelConfig(**{name: value})
         assert getattr(ModelConfig(**{name: np.int64(3)}), name) == 3
@@ -78,6 +78,11 @@ def test_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=key):
                 ModelConfig(**{key: value})
+        for value in ("2.0", True, None):
+            with pytest.raises(ValueError, match=f"^{key} must be a real number, got "):
+                ModelConfig(**{key: value})
+        assert getattr(ModelConfig(**{key: np.float64(3.0)}), key) == 3.0
+        assert getattr(ModelConfig(**{key: 3}), key) == 3
     for dl in (5.0, 6.0):  # the bonds rule ignores dl, the cutoff rule needs dl < dg
         ModelConfig(local_cutoff=dl, global_cutoff=5.0)
         with pytest.raises(ValueError, match="^local cutoff must be below the global cutoff$"):

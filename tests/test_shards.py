@@ -349,6 +349,30 @@ def test_earliest_failing_shard_wins_with_its_type_and_message(monkeypatch, shar
     _no_children_left()
 
 
+def test_an_exception_that_cannot_be_pickled_arrives_as_its_type_and_message(
+    monkeypatch, shards
+):
+    mols, prepared = _prepared(4)
+    params = init_params(TINY, 3)
+    shards(2)
+    parent = os.getpid()
+
+    class Unpicklable(Exception):  # a local class: pickle cannot find it
+        pass
+
+    def fail_past_first(m):
+        if os.getpid() != parent:
+            raise Unpicklable(f"molecule {m.key}")
+
+    _failing_forward(monkeypatch, fail_past_first)
+    bounds = training._shard_bounds(training._message_costs(prepared), 2)
+    with pytest.raises(RuntimeError) as e:
+        evaluate(params, mols, prepared, TINY)
+    assert type(e.value) is RuntimeError
+    assert e.value.args == (f"Unpicklable: molecule {mols[bounds[1][0]].key}",)
+    _no_children_left()
+
+
 def test_a_dying_child_raises_instead_of_hanging(tmp_path, monkeypatch, shards):
     ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
     tcfg = TrainConfig(target="u0", epochs=3, batch_group=4, seed=1)
@@ -370,6 +394,28 @@ def test_a_dying_child_raises_instead_of_hanging(tmp_path, monkeypatch, shards):
         with pytest.raises(ChildProcessError, match="exit status 3"):
             train(ds, TINY, tcfg, tmp_path / "model.ckpt")
         _no_children_left()
+
+
+def test_a_child_that_dies_with_a_message_unread_raises_instead_of_hanging(
+    tmp_path, monkeypatch, shards
+):
+    # Rank 0 finishes its shard and tells rank 1 to add its gradient while
+    # rank 1 is still in its first forward; rank 1 then dies without reading
+    # it, which resets its end of the connection rather than closing it.
+    ds = fixtures.dataset_from(fixtures.overfit_set(8, seed=7), (0.75, 0.25, 0.0), 0)
+    tcfg = TrainConfig(target="u0", epochs=1, batch_group=6, seed=1)
+    parent = os.getpid()
+    shards(2)
+
+    def die_late(m):
+        if os.getpid() != parent:
+            time.sleep(0.5)
+            os._exit(3)
+
+    _failing_forward(monkeypatch, die_late)
+    with pytest.raises(ChildProcessError, match="exit status 3"):
+        train(ds, TINY, tcfg, tmp_path / "model.ckpt")
+    _no_children_left()
 
 
 def test_interrupt_kills_and_reaps_children_and_restores_blas(monkeypatch, shards):

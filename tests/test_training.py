@@ -46,7 +46,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(target="u0", ema_decay=1.0)
     for name in ("epochs", "batch_group", "seed", "patience"):
-        for value in (2.5, 1.0, "3"):
+        for value in (2.5, 1.0, "3", True, False):
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
                 TrainConfig(target="u0", **{name: value})
         assert getattr(TrainConfig(target="u0", **{name: np.int64(3)}), name) == 3
@@ -65,8 +65,14 @@ def test_train_config_validation():
         field = next(iter(bad))
         with pytest.raises(ValueError, match=field):
             TrainConfig(target="u0", **bad)
-    # The edges of each allowed range stay valid.
+    for name in ("base_lr", "decay_epochs", "ema_decay"):
+        for value in ("0.5", True, False, None):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+                TrainConfig(target="u0", **{name: value})
+        assert getattr(TrainConfig(target="u0", **{name: np.float64(0.5)}), name) == 0.5
+    # The edges of each allowed range stay valid, an integer among them.
     TrainConfig(target="u0", decay_epochs=1e-3)
+    TrainConfig(target="u0", ema_decay=0)
 
 
 def test_adam_zero_gradient_is_a_no_op():
