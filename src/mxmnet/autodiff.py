@@ -49,13 +49,11 @@ Design constraints honoured here:
   backward and ``segment_sum``'s forward are one scatter-sum, which adds
   each bucket's rows in input order (deterministic for a given input, not
   under a permutation of the rows);
-* the active tape is thread local: independent tapes on separate threads do
-  not interfere.
+* one tape is active per process, in one module-level slot: nothing records
+  on threads (parallel work runs in forked processes, each with its own).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -141,30 +139,27 @@ class TapeOp:
         self.backward_fn = backward_fn
 
 
-_ACTIVE = threading.local()
-
-
-def _current_tape():
-    return getattr(_ACTIVE, "tape", None)
+_active: Tape | None = None  # the tape ops record onto
 
 
 class Tape:
     """Ordered record of operations for one forward pass.
 
-    Used as a context manager; entering makes it the active tape for the
-    current thread, leaving restores the previous one (tapes may nest).
+    Used as a context manager; entering makes it the active tape, leaving
+    restores the previous one (tapes may nest).
     """
 
     def __init__(self):
         self.ops: list[TapeOp] = []
 
     def __enter__(self):
-        self._prev = _current_tape()
-        _ACTIVE.tape = self
+        global _active
+        self._prev, _active = _active, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _ACTIVE.tape = self._prev
+        global _active
+        _active = self._prev
         return False
 
     def __len__(self):
@@ -172,10 +167,9 @@ class Tape:
 
 
 def _record(name, output, backward_fn):
-    tape = _current_tape()
-    if tape is not None and output.requires_grad:
+    if _active is not None and output.requires_grad:
         output.slot = GradSlot()
-        tape.ops.append(TapeOp(name, output.slot, backward_fn))
+        _active.ops.append(TapeOp(name, output.slot, backward_fn))
     return output
 
 

@@ -1,17 +1,18 @@
 """Command-line entry points: featurize, train, eval, verify, bench.
 
 Configuration is a flat key=value text file.  Each key is declared once, in
-``_KEYS``, with its type and default; model and training defaults are those
-of ``ModelConfig`` and ``TrainConfig``.  The command line can override the
-common keys, and unknown keys are rejected.
+``_KEYS``, with its type, its default and the ``ModelConfig`` or
+``TrainConfig`` field it sets, whose default is its own; both configs are
+built from that table.  The command line can override the common keys, and
+unknown keys are rejected.
 All outputs land inside the configured output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -29,9 +30,11 @@ from .data import (
     Dataset,
     load_atomrefs,
     load_manifest,
+    read_lines,
     split_dataset,
     subtract_atomrefs,
     target_stats,
+    write_csv,
 )
 from .model import (
     MessageTally,
@@ -55,32 +58,39 @@ from .training import (
 class _Key(NamedTuple):
     type: type
     default: object
+    field: str | None = None  # the ModelConfig or TrainConfig field it sets
     flag: bool = False  # also a command-line option
     help: str | None = None
 
 
-# Every config key once: its type, its default and whether the command line
-# can override it.  Model and training defaults are the dataclasses' own.
+def _sets(type_, owner, field: str, **kw) -> _Key:
+    """The key that sets ``owner``'s ``field``, with the field's default
+    (``None`` for a field without one)."""
+    return _Key(type_, getattr(owner, field, None), field, **kw)
+
+
+# Every config key once: its type, its default, the config field it sets
+# and whether the command line can override it.
 _KEYS: dict[str, _Key] = {
-    "seed": _Key(int, TrainConfig.seed, flag=True),
-    "target": _Key(str, None, flag=True),
-    "dg": _Key(float, ModelConfig.global_cutoff, flag=True, help="global cutoff, Angstrom"),
-    "dl": _Key(float, ModelConfig.local_cutoff, flag=True, help="local cutoff, Angstrom"),
-    "layers": _Key(int, ModelConfig.n_layers, flag=True),
-    "hidden": _Key(int, ModelConfig.hidden_dim, flag=True),
-    "lr": _Key(float, TrainConfig.base_lr, flag=True),
-    "epochs": _Key(int, TrainConfig.epochs, flag=True),
+    "seed": _sets(int, TrainConfig, "seed", flag=True),
+    "target": _sets(str, TrainConfig, "target", flag=True),
+    "dg": _sets(float, ModelConfig, "global_cutoff", flag=True, help="global cutoff, Angstrom"),
+    "dl": _sets(float, ModelConfig, "local_cutoff", flag=True, help="local cutoff, Angstrom"),
+    "layers": _sets(int, ModelConfig, "n_layers", flag=True),
+    "hidden": _sets(int, ModelConfig, "hidden_dim", flag=True),
+    "lr": _sets(float, TrainConfig, "base_lr", flag=True),
+    "epochs": _sets(int, TrainConfig, "epochs", flag=True),
     "out": _Key(str, "mxm_out", flag=True),
     "manifest": _Key(str, None),
-    "local_rule": _Key(str, ModelConfig.local_rule),
-    "residuals": _Key(int, ModelConfig.n_residuals),
-    "batch_group": _Key(int, TrainConfig.batch_group),
-    "loss": _Key(str, TrainConfig.loss),
-    "patience": _Key(int, TrainConfig.patience),
+    "local_rule": _sets(str, ModelConfig, "local_rule"),
+    "residuals": _sets(int, ModelConfig, "n_residuals"),
+    "batch_group": _sets(int, TrainConfig, "batch_group"),
+    "loss": _sets(str, TrainConfig, "loss"),
+    "patience": _sets(int, TrainConfig, "patience"),
     "train_frac": _Key(float, DEFAULT_FRACTIONS[0]),
     "val_frac": _Key(float, DEFAULT_FRACTIONS[1]),
     "test_frac": _Key(float, DEFAULT_FRACTIONS[2]),
-    "atomrefs": _Key(str, None),
+    "atomrefs": _Key(str, None),  # a path; TrainConfig takes what it holds
 }
 
 
@@ -93,34 +103,28 @@ class ConfigError(ValueError):
 
 
 def parse_config(path) -> dict:
-    """Read a flat key=value config; unknown keys and a key given twice are
-    errors."""
+    """Read a flat key=value config, where ``#`` starts a comment anywhere
+    on a line; unknown keys and a key given twice are errors."""
     cfg = _defaults()
     lines = {}  # the line each key was given on
-    with open(path, encoding="utf-8") as fh:
-        for num, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep:
-                raise ConfigError(f"{path}:{num}: expected key=value, got {line!r}")
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{num}: unknown config key {key!r}")
-            if key in lines:
-                raise ConfigError(
-                    f"{path}:{num}: config key {key!r} given twice, "
-                    f"lines {lines[key]} and {num}"
-                )
-            lines[key] = num
-            try:
-                cfg[key] = _KEYS[key].type(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{num}: bad value for {key!r}: {value!r}"
-                ) from None
+    for num, text in read_lines(path):
+        line = text.split("#", 1)[0].rstrip()
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not sep:
+            raise ConfigError(f"{path}:{num}: expected key=value, got {line!r}")
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{num}: unknown config key {key!r}")
+        first = lines.setdefault(key, num)
+        if first != num:
+            raise ConfigError(
+                f"{path}:{num}: config key {key!r} given twice, lines {first} and {num}"
+            )
+        try:
+            cfg[key] = _KEYS[key].type(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{num}: bad value for {key!r}: {value!r}") from None
     return cfg
 
 
@@ -134,31 +138,23 @@ def _settings(args) -> dict:
     return cfg
 
 
+def _config(cls, cfg: dict, **given):
+    """A ``cls`` whose fields are set from the keys that name them, and
+    from ``given``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    keys = {spec.field: cfg[key] for key, spec in _KEYS.items() if spec.field in names}
+    return cls(**keys, **given)
+
+
 def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        hidden_dim=cfg["hidden"],
-        n_layers=cfg["layers"],
-        n_residuals=cfg["residuals"],
-        local_rule=cfg["local_rule"],
-        local_cutoff=cfg["dl"],
-        global_cutoff=cfg["dg"],
-    )
+    return _config(ModelConfig, cfg)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
     if not cfg["target"]:
         raise ConfigError("a target name is required (config key 'target')")
     refs = load_atomrefs(cfg["atomrefs"]) if cfg["atomrefs"] else None
-    return TrainConfig(
-        target=cfg["target"],
-        epochs=cfg["epochs"],
-        base_lr=cfg["lr"],
-        batch_group=cfg["batch_group"],
-        seed=cfg["seed"],
-        loss=cfg["loss"],
-        patience=cfg["patience"],
-        atomrefs=refs,
-    )
+    return _config(TrainConfig, cfg, atomrefs=refs)
 
 
 def _load_split(cfg: dict) -> Dataset:
@@ -175,10 +171,6 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def cmd_featurize(args) -> int:
     cfg = _settings(args)
     if not cfg["manifest"]:
@@ -187,19 +179,25 @@ def cmd_featurize(args) -> int:
     mcfg = _model_config(cfg)
     out = _out_dir(cfg)
     prepared = prepare_all(ds.molecules, mcfg)
-    rbf = [f"rbf_{k + 1:02d}" for k in range(basis.N_RBF)]
-    sbf = [f"sbf_l{l}n{n + 1}" for l in range(basis.N_SHBF) for n in range(basis.N_SRBF)]
+    # Node columns, then the basis values of each edge or triple.
+    pair = ["j", "i"] + [f"rbf_{k + 1:02d}" for k in range(basis.N_RBF)]
+    triple = ["k", "j", "i"] + [
+        f"sbf_l{l}n{n + 1}" for l in range(basis.N_SHBF) for n in range(basis.N_SRBF)
+    ]
     for k, (m, (g, feats)) in enumerate(zip(ds.molecules, prepared)):
         stem = os.path.splitext(os.path.basename(m.key or f"mol{k}"))[0]
         base = os.path.join(out, f"{k:04d}_{stem}")
         with open(base + ".graph.txt", "w", encoding="utf-8") as fh:
             fh.write(graphmod.dump_graph(g))
         local_edges = np.stack([feats.local_src, feats.local_dst], axis=1)
-        _write_table(base + ".rbf_local.csv", ["j", "i"] + rbf, local_edges, feats.rbf_local)
         global_edges = np.stack([feats.global_src, feats.global_dst], axis=1)
-        _write_table(base + ".rbf_global.csv", ["j", "i"] + rbf, global_edges, feats.rbf_global)
-        triples = _triple_nodes(feats)
-        _write_table(base + ".sbf_two.csv", ["k", "j", "i"] + sbf, triples, feats.sbf_two)
+        for name, header, idx, mat in (
+            ("rbf_local", pair, local_edges, feats.rbf_local),
+            ("rbf_global", pair, global_edges, feats.rbf_global),
+            ("sbf_two", triple, _triple_nodes(feats), feats.sbf_two),
+        ):
+            rows = (ids + vals for ids, vals in zip(idx.tolist(), mat.tolist()))
+            write_csv(f"{base}.{name}.csv", header, rows)
         print(
             f"{m.key or stem}: N={feats.n_nodes} El={feats.local_src.size} "
             f"Eg={feats.global_src.size} T2={feats.two_hop_edge.size}"
@@ -214,16 +212,6 @@ def _triple_nodes(feats):
     src, dst = feats.local_src, feats.local_dst
     e, t = feats.two_hop_edge, feats.two_hop_target
     return np.stack([src[e], dst[e], dst[t]], axis=1)
-
-
-def _write_table(path, header, idx, mat):
-    """A CSV table: ``header``, then one row per row of the integer matrix
-    ``idx`` and the float matrix ``mat``, the floats as ``_fmt`` writes them."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for ids, vals in zip(idx.tolist(), mat.tolist()):
-            w.writerow(ids + [_fmt(v) for v in vals])
 
 
 def _fp_checked():
@@ -251,7 +239,6 @@ def cmd_train(args) -> int:
     result.report.to_csv(os.path.join(out, "report.csv"))
     stats = target_stats(ds, tcfg.target, tcfg.atomrefs)
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    workers = resource.getrusage(resource.RUSAGE_CHILDREN)
     summary = {
         "target": tcfg.target,
         "seed": tcfg.seed,
@@ -262,13 +249,13 @@ def cmd_train(args) -> int:
         "n_parameters": result.params.flat.size,
         "checkpoint": ckpt,
         "wall_seconds": wall,
-        # Linux reports ru_maxrss in KiB.  The forked ranks are counted
-        # apart, once reaped: the largest of them is the children's
-        # ru_maxrss, and their faults add up in the children's ru_minflt.
+        # Linux reports ru_maxrss in KiB.  The ranks this run forked are
+        # counted apart, from their own usage when they were reaped: the
+        # largest peak of them, and all their faults.
         "peak_rss_mb": usage.ru_maxrss / 1024,
-        "worker_peak_rss_mb": workers.ru_maxrss / 1024,
+        "worker_peak_rss_mb": max((rss for rss, _ in result.workers), default=0) / 1024,
         "minor_page_faults": usage.ru_minflt,
-        "worker_minor_page_faults": workers.ru_minflt,
+        "worker_minor_page_faults": sum(faults for _, faults in result.workers),
         "train_target_std": stats.std,
     }
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
@@ -555,11 +542,7 @@ def cmd_bench(args) -> int:
     out = _out_dir(cfg)
     rows, slopes = run_bench(n=args.n, seed=cfg["seed"])
     path = os.path.join(out, "bench.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scheme", "n_nodes", "cutoff", "mean_degree", "messages", "seconds"])
-        for scheme, n, c, k, msgs, dt in rows:
-            w.writerow([scheme, n, _fmt(c), _fmt(k), msgs, _fmt(dt)])
+    write_csv(path, ["scheme", "n_nodes", "cutoff", "mean_degree", "messages", "seconds"], rows)
     with open(os.path.join(out, "bench_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(slopes, fh, indent=2)
         fh.write("\n")

@@ -15,7 +15,9 @@ for bit; floats are written with shortest round-trip precision.
 
 from __future__ import annotations
 
+import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +40,58 @@ __all__ = [
     "target_stats",
     "load_atomrefs",
     "subtract_atomrefs",
+    "read_lines",
+    "write_csv",
 ]
 
 
 class ParseError(ValueError):
-    """Malformed molecule or atom-reference text; carries the 1-based line
-    number, and reads ``<path>:<line>: <message>`` when given the file."""
+    """Malformed input text; carries the 1-based line number, and reads
+    ``<path>:<line>: <message>`` when given the file."""
 
     def __init__(self, line: int, message: str, path=None):
         where = f"line {line}" if path is None else f"{path}:{line}"
         super().__init__(f"{where}: {message}")
         self.line = line
         self.message = message
+
+
+def _decode(data: bytes, path) -> str:
+    """``data`` as UTF-8 text; bytes that are not are a :class:`ParseError`
+    naming ``path`` and the line they start on."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[: e.start].decode("utf-8")
+        raise ParseError(len((head + "x").splitlines()), "not UTF-8 text", path) from None
+
+
+def read_lines(path):
+    """Yield ``(line number, stripped text)`` for each line of a text file
+    that is neither blank nor a ``#`` comment, lines ending as in text mode.
+    Bytes that are not UTF-8 are a :class:`ParseError` naming the file and
+    their line, found by reading the file once more."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for num, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield num, line
+    except UnicodeDecodeError:
+        # The decoder reads in blocks, so the line is found in the raw bytes.
+        with open(path, "rb") as fh:
+            _decode(fh.read(), path)
+        raise  # the file changed since, and now decodes
+
+
+def write_csv(path, header, rows):
+    """Write a CSV file: ``header``, then one line per row, floats (numpy's
+    too) as ``repr(float(v))``, the shortest text that reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 class Molecule:
@@ -210,8 +252,8 @@ def serialize_molecule(m: Molecule) -> str:
 
 def load_molecule(path, key: str | None = None) -> Molecule:
     """Read one molecule file; a :class:`ParseError` names the file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path)
     try:
         return parse_molecule(text, key=key if key is not None else str(path))
     except ParseError as e:
@@ -250,29 +292,23 @@ class Dataset:
 def load_manifest(path) -> Dataset:
     """Read a manifest (one molecule path per line, relative to the manifest).
 
-    Blank lines and lines starting with ``#`` are skipped.  Each molecule's
-    key is the manifest line, so membership of later splits does not depend
-    on line order.  Two lines that name the same file (after
-    ``os.path.realpath``) are a :class:`ParseError` naming both lines.
+    Blank lines and lines starting with ``#`` are skipped; a path may hold
+    a ``#`` past its first character.  Each molecule's key is the manifest
+    line, so membership of later splits does not depend on line order.  Two
+    lines that name the same file (after ``os.path.realpath``) are a
+    :class:`ParseError` naming both lines.
     """
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     mols = []
     lines = {}  # the line each molecule file was listed on
-    with open(path, encoding="utf-8") as fh:
-        for num, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            p = line if os.path.isabs(line) else os.path.join(base, line)
-            real = os.path.realpath(p)
-            if real in lines:
-                raise ParseError(
-                    num, f"molecule file {line!r} listed twice, lines {lines[real]} and {num}", path
-                )
-            lines[real] = num
-            mols.append(load_molecule(p, key=line))
+    for num, line in read_lines(path):
+        p = line if os.path.isabs(line) else os.path.join(base, line)
+        first = lines.setdefault(os.path.realpath(p), num)
+        if first != num:
+            raise ParseError(
+                num, f"molecule file {line!r} listed twice, lines {first} and {num}", path
+            )
+        mols.append(load_molecule(p, key=line))
     if not mols:
         raise ValueError(f"manifest {path} lists no molecules")
     return Dataset(mols)
@@ -343,27 +379,23 @@ def load_atomrefs(path) -> dict[int, float]:
     :class:`ParseError` names the file."""
     refs: dict[int, float] = {}
     lines = {}  # the line each element was given on
-    with open(path, encoding="utf-8") as fh:
-        for num, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(num, f"expected 'symbol value', got {line!r}", path)
-            try:
-                z = elements.atomic_number(parts[0])
-                value = float(parts[1])
-            except ValueError as e:
-                raise ParseError(num, str(e), path) from None
-            if not math.isfinite(value):
-                raise ParseError(num, f"non-finite reference energy {parts[1]!r}", path)
-            if z in lines:
-                raise ParseError(
-                    num, f"element {parts[0]!r} given twice, lines {lines[z]} and {num}", path
-                )
-            lines[z] = num
-            refs[z] = value
+    for num, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(num, f"expected 'symbol value', got {line!r}", path)
+        try:
+            z = elements.atomic_number(parts[0])
+            value = float(parts[1])
+        except ValueError as e:
+            raise ParseError(num, str(e), path) from None
+        if not math.isfinite(value):
+            raise ParseError(num, f"non-finite reference energy {parts[1]!r}", path)
+        first = lines.setdefault(z, num)
+        if first != num:
+            raise ParseError(
+                num, f"element {parts[0]!r} given twice, lines {first} and {num}", path
+            )
+        refs[z] = value
     return refs
 
 

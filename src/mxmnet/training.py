@@ -34,12 +34,12 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .autodiff import Tape, backward
-from .data import Dataset, subtract_atomrefs
+from .data import Dataset, subtract_atomrefs, write_csv
 from .graph import count_messages
 from .model import (
     ModelConfig,
@@ -275,30 +275,17 @@ class TrainReport:
     best_val_mae: float = math.nan
     final_train_mae: float = math.nan
 
-    CSV_COLUMNS = ("epoch", "train_loss", "val_mae", "lr", "seconds")
-
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.CSV_COLUMNS)
-            for e in self.epochs:
-                w.writerow(
-                    [
-                        e.epoch,
-                        repr(e.train_loss),
-                        repr(e.val_mae),
-                        repr(e.lr),
-                        repr(e.seconds),
-                    ]
-                )
+        """One row per epoch, one column per ``EpochStats`` field."""
+        write_csv(path, [f.name for f in fields(EpochStats)], map(astuple, self.epochs))
 
 
 @dataclass
 class TrainResult:
     report: TrainReport
     params: ParamStore  # best-validation EMA weights (final EMA if no val)
+    # (ru_maxrss in KiB, ru_minflt) of each rank the run forked, once reaped.
+    workers: list[tuple[int, int]] = field(default_factory=list)
 
 
 def evaluate(
@@ -476,7 +463,7 @@ def train(
                 save_checkpoint(best, checkpoint)
             else:
                 os.replace(best_file, checkpoint)
-        return TrainResult(report=report, params=best)
+    return TrainResult(report=report, params=best, workers=list(ranks.usage.values()))
 
 
 @contextlib.contextmanager
@@ -612,7 +599,7 @@ class _RankGroup:
     failing shard's wins; a rank that ends without a result raises
     ``ChildProcessError``.  Rank 0 always reaps the other ranks, and
     SIGKILLs them first when it leaves the block by an exception or an
-    interrupt.
+    interrupt; ``usage`` keeps each reaped rank's peak RSS and minor faults.
     """
 
     def __init__(self, size: int, n_grads: int, n_rows: int, n_state: int = 0):
@@ -632,6 +619,7 @@ class _RankGroup:
         self.own_grad = self.grad  # a private vector past rank 0 (``_fork``)
         self._others = []  # rank 0: (pid, connection) of ranks 1, 2, ...
         self._status = {}  # rank 0: wait status of each reaped rank
+        self.usage = {}  # rank 0: (ru_maxrss in KiB, ru_minflt) of each
         self._conn = None  # rank k > 0: its connection to rank 0
         self._threads = None
 
@@ -692,12 +680,14 @@ class _RankGroup:
             _openblas()[1](self._threads)
 
     def _reap(self, rank: int, kill: bool) -> int:
-        """Wait for ``rank``, killing it first if asked; once only."""
+        """Wait for ``rank``, killing it first if asked, and keep its peak
+        RSS and minor faults; once only."""
         if rank not in self._status:
             pid = self._others[rank - 1][0]
             if kill:
                 os.kill(pid, signal.SIGKILL)
-            self._status[rank] = os.waitpid(pid, 0)[1]
+            _, self._status[rank], ru = os.wait4(pid, 0)
+            self.usage[rank] = (ru.ru_maxrss, ru.ru_minflt)
         return self._status[rank]
 
     # --- messages ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: config handling, outputs, determinism, exit codes."""
 
 import ctypes
+import dataclasses
 import hashlib
 import json
 import math
@@ -87,6 +88,31 @@ def test_parse_config_defaults_are_the_dataclass_defaults(tmp_path):
     assert cfg["target"] is None and cfg["manifest"] is None and cfg["atomrefs"] is None
     assert cfg["out"] == "mxm_out"
     assert len(cfg) == 19
+
+
+def test_every_config_field_is_set_by_exactly_one_key():
+    model = {f.name for f in dataclasses.fields(ModelConfig)}
+    train = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert not model & train
+    # Only the library sets the schedule's decay and the EMA decay; the CLI
+    # loads atomrefs from the path its key holds.
+    reachable = (model | train) - {"decay_epochs", "ema_decay", "atomrefs"}
+    fields = [spec.field for spec in cli._KEYS.values() if spec.field is not None]
+    assert sorted(fields) == sorted(reachable)
+
+
+def test_configs_are_built_from_the_key_table():
+    cfg = cli._defaults()
+    cfg.update(target="u0", hidden=8, layers=1, residuals=3, dl=1.5, dg=4.0,
+               local_rule="cutoff", epochs=7, lr=0.5, batch_group=3, seed=2,
+               loss="mse", patience=4)
+    assert cli._model_config(cfg) == ModelConfig(
+        hidden_dim=8, n_layers=1, n_residuals=3, local_rule="cutoff",
+        local_cutoff=1.5, global_cutoff=4.0,
+    )
+    assert cli._train_config(cfg) == TrainConfig(
+        target="u0", epochs=7, base_lr=0.5, batch_group=3, seed=2, loss="mse", patience=4
+    )
 
 
 def test_train_help_lists_the_common_flags(capsys):
@@ -260,6 +286,19 @@ def test_train_writes_expected_outputs(tmp_path, capsys):
         assert isinstance(faults, int) and not isinstance(faults, bool) and faults >= 0, key
     workers = summary["worker_peak_rss_mb"]
     assert isinstance(workers, float) and math.isfinite(workers) and workers >= 0
+
+
+def test_one_rank_worker_figures_ignore_earlier_children(tmp_path, monkeypatch):
+    # A child reaped before the run, and one rank: RUSAGE_CHILDREN would
+    # report the child's 32 MB and its faults.
+    subprocess.run([sys.executable, "-c", "b = bytearray(32 << 20)"], check=True)
+    monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+    out = tmp_path / "run"
+    cfg = _train_cfg_file(tmp_path, _overfit_manifest(tmp_path), out)
+    assert cli.main(["train", "--config", cfg]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["worker_peak_rss_mb"] == 0.0
+    assert summary["worker_minor_page_faults"] == 0
 
 
 def test_train_flag_overrides_beat_config(tmp_path):
@@ -570,6 +609,30 @@ def test_parse_errors_name_their_file(tmp_path, capsys, command):
     argv = ["featurize" if command == "featurize" else "train", "--config", cfg]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("kind", ["config", "manifest", "atomrefs", "molecule"])
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, kind):
+    manifest = _overfit_manifest(tmp_path)
+    refs = tmp_path / "refs.txt"
+    refs.write_text("H -0.5\nC -37.8\nO -75.0\n")
+    cfg = _train_cfg_file(tmp_path, manifest, tmp_path / "run", atomrefs=refs)
+    bad = {
+        "config": cfg,
+        "manifest": manifest,
+        "atomrefs": str(refs),
+        "molecule": os.path.join(os.path.dirname(manifest), "fit02.extxyz"),
+    }[kind]
+    with open(bad, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    # A bad byte inside a line's text, and inside a config comment.
+    lines[2] = lines[2].rstrip(b"\n") + b" # caf\xff\n" if kind == "config" else b"\xff" + lines[2]
+    with open(bad, "wb") as fh:
+        fh.write(b"".join(lines))
+    assert cli.main(["train", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}:3: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("n", [-3, 0, 8, 16, 24])

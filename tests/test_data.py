@@ -15,11 +15,13 @@ from mxmnet.data import (
     load_manifest,
     load_molecule,
     parse_molecule,
+    read_lines,
     save_molecule,
     serialize_molecule,
     split_dataset,
     subtract_atomrefs,
     target_stats,
+    write_csv,
 )
 
 
@@ -174,6 +176,37 @@ def test_manifest_skips_comments(tmp_path):
     mf.write_text("# a comment\n\nw.extxyz\n")
     ds = load_manifest(mf)
     assert len(ds) == 1
+
+
+def test_a_manifest_path_may_hold_a_hash(tmp_path):
+    save_molecule(fixtures.water(), tmp_path / "w#1.extxyz")
+    mf = tmp_path / "manifest.txt"
+    mf.write_text("  # a comment\nw#1.extxyz\n")
+    assert [m.key for m in load_manifest(mf).molecules] == ["w#1.extxyz"]
+
+
+def test_read_lines_numbers_every_line_and_skips_blanks_and_comments(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"a b\r\n\n  # note\r  c # d  \n\t\n#e\nf")
+    assert list(read_lines(path)) == [(1, "a b"), (4, "c # d"), (7, "f")]
+
+
+@pytest.mark.parametrize("at", [0, 5, 3000])
+def test_read_lines_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, at):
+    # Line 3000 lies past the first block the text decoder reads.
+    lines = [f"line {k} caf\u00e9".encode() for k in range(4000)]
+    lines[at] = b"bad \xe9 byte"
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ParseError) as e:
+        list(read_lines(path))
+    assert str(e.value) == f"{path}:{at + 1}: not UTF-8 text"
+
+
+def test_write_csv_writes_floats_as_their_shortest_repr(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["name", "n", "x"], [("a", 1, 0.1), ("b,c", np.int64(2), np.float64(1 / 3))])
+    assert path.read_bytes() == b'name,n,x\r\na,1,0.1\r\n"b,c",2,0.3333333333333333\r\n'
 
 
 def test_empty_manifest_fails(tmp_path):

@@ -6,6 +6,7 @@ minimum work per rank.  These tests need an OpenBLAS whose thread count can be s
 elsewhere every run stays in one process and they are skipped.
 """
 
+import json
 import math
 import os
 import signal
@@ -238,6 +239,17 @@ def test_sharded_train_command_reruns_byte_identical(tmp_path, shards):
         return [r.rsplit(",", 1)[0] for r in (out / "report.csv").read_text().splitlines()]
 
     assert rows(a) == rows(b)
+    _no_children_left()
+
+
+def test_a_forced_two_rank_train_counts_its_rank(tmp_path, shards):
+    shards(2)
+    code, out = _train_cli(tmp_path, "run")
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # Rank 1 ran a share of every step: its peak and faults are its own.
+    assert summary["worker_peak_rss_mb"] > 0
+    assert summary["worker_minor_page_faults"] > 0
     _no_children_left()
 
 
